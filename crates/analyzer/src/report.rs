@@ -201,6 +201,32 @@ impl LeakReport {
         LeakReport::new(rows)
     }
 
+    /// The rows for `specs`, in that order, as a report of their own
+    /// that keeps this run's timings and memo counters — how a shared
+    /// scheduler pass hands its lead cell the cell's own suite. Nothing
+    /// is recomputed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a spec is not part of this report's suite.
+    pub fn select(&self, specs: &[ObserverSpec]) -> LeakReport {
+        let rows = specs
+            .iter()
+            .map(|spec| {
+                self.rows
+                    .iter()
+                    .find(|row| row.spec == *spec)
+                    .unwrap_or_else(|| panic!("no row for {}/{}", spec.channel, spec.observer))
+                    .clone()
+            })
+            .collect();
+        LeakReport {
+            rows,
+            timings: self.timings,
+            memo: self.memo,
+        }
+    }
+
     /// All rows.
     pub fn rows(&self) -> &[LeakRow] {
         &self.rows

@@ -28,63 +28,14 @@
 //! configuration — bit-for-bit, as the batch-consistency suite checks.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use leakaudit_core::{
-    Cursor, DagStep, Label, MaskedSymbol, MemoKey, ObsSet, TraceDag, ValueSet, VertexId,
-};
+use leakaudit_core::{Cursor, DagStep, FxBuildHasher, Label, MemoKey, ObsSet, TraceDag, ValueSet};
 use leakaudit_mpi::Natural;
 
 use crate::report::{Channel, LeakRow, MemoStats, ObserverSpec, PhaseTimings};
-
-/// FxHash-style multiply-xor hasher (the rustc/Firefox construction):
-/// [`MemoKey`]s are hashed once per trace event per sink, so SipHash's
-/// per-call setup would dominate the projection cache it guards.
-#[derive(Default)]
-struct FxHasher {
-    hash: u64,
-}
-
-impl FxHasher {
-    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-    fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
-    }
-}
-
-impl Hasher for FxHasher {
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.add(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u8(&mut self, v: u8) {
-        self.add(u64::from(v));
-    }
-
-    fn write_u32(&mut self, v: u32) {
-        self.add(u64::from(v));
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.add(v);
-    }
-
-    fn write_usize(&mut self, v: usize) {
-        self.add(v as u64);
-    }
-}
 
 /// Identifier of one live configuration (abstract execution path).
 ///
@@ -244,31 +195,6 @@ pub trait ObserverSink: Send {
     }
 }
 
-/// Associativity of a lane's transition memo: direct-mapped table of
-/// [`TRANS_WAYS`] entries indexed by the low bits of the frontier vertex
-/// id. Hot loops sit on one or a few vertices at a time, so a tiny table
-/// captures nearly all repeats without hashing.
-const TRANS_WAYS: usize = 8;
-
-/// One memoized cursor transition: "at frontier vertex `vertex`, an
-/// access to exactly the address `sym` compares to the vertex label as
-/// `same_unit`". Sound because live vertex labels are immutable and ids
-/// are never reused between compactions (the table is cleared on
-/// compact), and because an equal singleton address implies an equal
-/// projection. Only singleton address sets ([`MemoKey::One`] — the
-/// dominant case: program counters and concrete loads) are memoized:
-/// carrying a full [`MemoKey`] would make the entry 140 bytes and put a
-/// memcpy on every install, while non-singleton sets recompute the
-/// (cheap) comparison directly. The *step* taken (stutter/bump/extend)
-/// is **not** memoized: it also depends on cursor refcounts and child
-/// counts, which [`TraceDag::update_memoized`] reads live.
-#[derive(Clone, Copy)]
-struct TransEntry {
-    vertex: VertexId,
-    sym: MaskedSymbol,
-    same_unit: bool,
-}
-
 /// Consecutive failed bulk-apply guards (or broken recordings) before a
 /// lane stops re-recording a script's delta, mirroring the interpreter
 /// memo's cooldown: a script whose entry context never stabilizes pays
@@ -299,8 +225,7 @@ enum ScriptState {
 /// frontier ("entry") vertex context it was journaled against, the
 /// in-place repetition bumps it applies to that vertex, and the chain of
 /// appended vertices. Deliberately free of vertex ids — labels and
-/// observations only — so a delta survives DAG compaction, unlike the
-/// id-keyed transition memo.
+/// observations only — so a delta survives DAG compaction.
 ///
 /// Validity argument: every vertex the chain appends is fresh, so its
 /// step decisions depend only on the (fixed) script observation
@@ -350,20 +275,18 @@ impl ScriptDelta {
 /// One observer's replay state inside a [`DagSink`]: its own DAG, its
 /// cursor table (dense, indexed by [`ConfigId`] — ids are allocated
 /// monotonically from zero, so the table stays small and hash-free),
-/// and its private transition memo.
+/// and its script delta memo.
 struct Lane {
     spec: ObserverSpec,
     dag: TraceDag,
     cursors: Vec<Option<Cursor>>,
     finals: Option<Cursor>,
-    trans: [Option<TransEntry>; TRANS_WAYS],
     /// Per-script delta memo, indexed by the run-unique script id. The
     /// decode cache allocates ids densely from zero, so a flat table
     /// replaces two hash probes per marker per lane with direct loads —
     /// markers outnumber the events they elide only a few to one, so
     /// per-marker cost decides whether the script memo pays for itself.
-    /// Unlike `trans`, entries survive compaction (no vertex ids
-    /// inside).
+    /// Entries survive compaction (no vertex ids inside).
     scripts: Vec<Option<LaneScript>>,
     /// The journal of the script run currently replaying per event
     /// through this lane: `(script id, replaying config, delta so far)`.
@@ -379,7 +302,6 @@ impl Lane {
             dag,
             cursors: Vec::new(),
             finals: None,
-            trans: [None; TRANS_WAYS],
             scripts: Vec::new(),
             journal: None,
         };
@@ -420,82 +342,36 @@ impl Lane {
         self.maybe_compact();
     }
 
-    /// Advances `config`'s cursor by one observation, through the
-    /// transition memo when the frontier is a single vertex (the
-    /// overwhelmingly common shape: straight-line code and loop bodies).
-    fn access(&mut self, config: ConfigId, key: &MemoKey, obs: &ObsSet) {
+    /// Advances `config`'s cursor by one observation. While a journal
+    /// is open for `config`, the step each event takes is recorded (the
+    /// mutation path is shared, so observing cannot change it).
+    fn access(&mut self, config: ConfigId, obs: &ObsSet) {
         let cur = self.take(config);
-        let cur = match cur.vertices() {
-            &[v] => {
-                let entry = v;
-                let same_unit = match key {
-                    MemoKey::One(sym) => {
-                        let slot = v.index() & (TRANS_WAYS - 1);
-                        match self.trans[slot] {
-                            Some(e) if e.vertex == v && e.sym == *sym => e.same_unit,
-                            _ => {
-                                let same_unit = self.dag.same_unit(v, obs);
-                                self.trans[slot] = Some(TransEntry {
-                                    vertex: v,
-                                    sym: *sym,
-                                    same_unit,
-                                });
-                                same_unit
-                            }
-                        }
+        let cur = match self.journal.as_mut() {
+            Some((_, jc, delta)) if *jc == config && !delta.broken => {
+                delta.touched = true;
+                if let [_] = cur.vertices() {
+                    let (cur, step) = self.dag.update_observed(cur, obs);
+                    match step {
+                        DagStep::Stutter => {}
+                        DagStep::Bump => match delta.chain.last_mut() {
+                            Some(link) => link.1 += 1,
+                            None => delta.entry_bumps += 1,
+                        },
+                        DagStep::Extend => delta.chain.push((obs.clone(), 1)),
                     }
-                    _ => self.dag.same_unit(v, obs),
-                };
-                // A live journal records the step this event takes (the
-                // mutation path is shared, so observing cannot change it).
-                let cur = match self.journal.as_mut() {
-                    Some((_, jc, delta)) if *jc == config && !delta.broken => {
-                        delta.touched = true;
-                        let (cur, step) = self.dag.update_memoized_observed(cur, obs, same_unit);
-                        match step {
-                            DagStep::Stutter => {}
-                            DagStep::Bump => match delta.chain.last_mut() {
-                                Some(link) => link.1 += 1,
-                                None => delta.entry_bumps += 1,
-                            },
-                            DagStep::Extend => delta.chain.push((obs.clone(), 1)),
-                        }
-                        cur
-                    }
-                    _ => self.dag.update_memoized(cur, obs, same_unit),
-                };
-                // An extend that kept the frontier id is a tail collapse:
-                // the vertex was relabeled in place, so any transition
-                // memo entry recorded against it is stale.
-                if !same_unit && cur.vertices() == [entry] {
-                    self.forget_vertex(entry);
+                    cur
+                } else {
+                    // A multi-vertex frontier mid-script cannot be
+                    // captured by the singleton-shaped delta: poison the
+                    // journal.
+                    delta.broken = true;
+                    self.dag.update(cur, obs)
                 }
-                cur
             }
-            _ => {
-                // A multi-vertex frontier mid-script cannot be captured
-                // by the singleton-shaped delta: poison the journal.
-                if let Some((_, jc, delta)) = self.journal.as_mut() {
-                    if *jc == config {
-                        delta.touched = true;
-                        delta.broken = true;
-                    }
-                }
-                self.dag.update(cur, obs)
-            }
+            _ => self.dag.update(cur, obs),
         };
         self.put(config, cur);
-    }
-
-    /// Drops the transition memo entry for `v` (all of a vertex's
-    /// entries live in its one direct-mapped slot). Called when a tail
-    /// collapse relabeled `v` in place — the memoized `same_unit` answer
-    /// no longer describes the live label.
-    fn forget_vertex(&mut self, v: VertexId) {
-        let slot = v.index() & (TRANS_WAYS - 1);
-        if self.trans[slot].is_some_and(|e| e.vertex == v) {
-            self.trans[slot] = None;
-        }
     }
 
     /// Whether the recorded delta for `script` may be applied in bulk to
@@ -538,21 +414,13 @@ impl Lane {
         if !delta.touched {
             return;
         }
-        let chain_nonempty = !delta.chain.is_empty();
         let cur = self.cursors[config.0 as usize]
             .take()
             .expect("cursor present for config");
-        let entry = cur.vertices()[0];
         let cur = self
             .dag
             .apply_script_delta(cur, delta.entry_bumps, &delta.chain);
         self.cursors[config.0 as usize] = Some(cur);
-        // The bulk apply may have tail-collapsed the entry vertex in
-        // place (relabeling it), so any memoized transition against it
-        // is suspect; clearing when it pushed instead is harmless.
-        if chain_nonempty {
-            self.forget_vertex(entry);
-        }
     }
 
     /// Script marker on the per-event fallback path: advance this lane's
@@ -638,8 +506,7 @@ impl Lane {
     /// the only producer of dead vertices, so this runs after `Merge`
     /// and `Retire` events; fork-heavy runs (defensive copies analyzed
     /// with thousands of joins) otherwise re-scan an ever-growing
-    /// graveyard in every counting pass. Compaction remaps vertex ids,
-    /// so the transition memo is invalidated wholesale.
+    /// graveyard in every counting pass.
     fn maybe_compact(&mut self) {
         const MIN_DEAD: usize = 1024;
         if self.dag.dead_vertices() >= MIN_DEAD
@@ -651,7 +518,6 @@ impl Lane {
                     .flatten()
                     .chain(self.finals.as_mut()),
             );
-            self.trans = [None; TRANS_WAYS];
         }
     }
 
@@ -705,7 +571,10 @@ pub struct DagSink {
     /// Whether any lane sees (fetches, data accesses) — lets the front
     /// end skip key derivation and projection for invisible kinds.
     sees: (bool, bool),
-    proj: HashMap<MemoKey, ObsSet, BuildHasherDefault<FxHasher>>,
+    /// Projections of multi-element address sets, keyed by
+    /// [`MemoKey`]. Singletons (almost every access) are projected
+    /// directly: a few shifts and masks beat a hash and a probe.
+    proj: HashMap<MemoKey, ObsSet, FxBuildHasher>,
     /// Events left to skip after a script delta was applied in bulk
     /// (sink state, so it spans chunk boundaries).
     skip: u32,
@@ -823,14 +692,13 @@ impl DagSink {
                 kind,
                 addresses,
             } => {
-                // The memo key is derived and the projection resolved
-                // once per class; all lanes project identically, so
-                // lane 0's observer stands in for the class. The
-                // observation is *borrowed* out of the projection map
-                // for the lane fan-out — cloning it per event would
-                // put an allocation on the hottest path for every
-                // multi-element address set. Visibility is a per-lane
-                // channel filter.
+                // The projection is resolved once per class; all lanes
+                // project identically, so lane 0's observer stands in
+                // for the class. A singleton projects in place (no
+                // heap); a multi-element set is *borrowed* out of the
+                // projection map for the lane fan-out — cloning it per
+                // event would put an allocation on the hottest path.
+                // Visibility is a per-lane channel filter.
                 let visible = match kind {
                     AccessKind::Fetch => self.sees.0,
                     AccessKind::Data => self.sees.1,
@@ -838,15 +706,21 @@ impl DagSink {
                 if !visible {
                     return;
                 }
-                let key = addresses.memo_key();
                 let observer = self.lanes[0].dag.observer();
-                let obs = self
-                    .proj
-                    .entry(key)
-                    .or_insert_with(|| observer.project_set(addresses));
+                let single;
+                let obs = match addresses.memo_key() {
+                    MemoKey::One(_) => {
+                        single = observer.project_set(addresses);
+                        &single
+                    }
+                    key => self
+                        .proj
+                        .entry(key)
+                        .or_insert_with(|| observer.project_set(addresses)),
+                };
                 for lane in &mut self.lanes {
                     if kind.visible_to(lane.spec.channel) {
-                        lane.access(*config, &key, obs);
+                        lane.access(*config, obs);
                     }
                 }
             }

@@ -1,12 +1,12 @@
 //! Property tests pinning the memoized class-sink replay bit-identical
 //! to a naive, memo-free replay of the same event stream.
 //!
-//! The production sinks ([`DagSink`]) layer several caches over trace
-//! replay: the per-lane transition memo (skipping the `same_unit` label
-//! comparison on repeated (vertex, address-key) pairs), the per-class
-//! projection map with its one-entry hot cache, and the per-lane script
-//! delta memo (bulk-applying whole scripted runs). None of those may
-//! change a single bit of the resulting counts. The reference
+//! The production sinks ([`DagSink`]) layer shortcuts over trace replay:
+//! one projection per observer class fanned out to every lane (with a
+//! projection map for multi-element address sets), the per-lane script
+//! delta memo (bulk-applying whole scripted runs), the DAG's tail
+//! collapse, and periodic compaction. None of those may change a single
+//! bit of the resulting counts. The reference
 //! implementation here replays the identical event stream straight
 //! through the public [`TraceDag`] API — one `project_set` and one
 //! `update` per event, no memo of any kind, no compaction — and the
@@ -44,8 +44,8 @@ fn suite() -> Vec<ObserverSpec> {
 
 /// A small fixed pool of address sets, built once per stream so that
 /// cloned entries share [`leakaudit_core::MemoKey`] identity — repeats
-/// from the pool are exactly what the transition and projection memos
-/// exist to capture. Entry 4 crosses the block(6) boundary, entry 3
+/// from the pool are exactly what the projection map and the script
+/// and tail-collapse shortcuts exist to capture. Entry 4 crosses the block(6) boundary, entry 3
 /// stays inside one block (same-unit for coarse observers, distinct for
 /// `address()`).
 fn address_pool() -> Vec<ValueSet> {
@@ -344,9 +344,9 @@ proptest! {
     }
 }
 
-/// A deterministic worst case for the transition memo: a long loop on
-/// one address (maximal memo hits) punctuated by forks and merges that
-/// move the frontier (forcing re-validation), checked against the naive
+/// A deterministic worst case for per-vertex replay shortcuts: a long
+/// loop on one address (in-place bumps and tail collapses) punctuated by
+/// forks and merges that move the frontier, checked against the naive
 /// replay. Kept outside `proptest!` so it always runs with this exact
 /// shape regardless of generator drift.
 #[test]

@@ -141,6 +141,14 @@ impl Preds {
             Preds::Many(vs) => vs,
         }
     }
+
+    /// Bucket key of the §6.4 sibling join: the first predecessor's id
+    /// (`u32::MAX` for the root). Equal preds always share a key; the
+    /// join re-checks full equality, so ε-join lists that merely share a
+    /// first entry only widen a bucket.
+    fn bucket(&self) -> u32 {
+        self.as_slice().first().map_or(u32::MAX, |p| p.0)
+    }
 }
 
 /// An intermediate trace count: a `u128` while it fits, a [`Natural`]
@@ -202,9 +210,9 @@ fn natural_from_u128(n: u128) -> Natural {
 
 /// Outcome of matching one access against one frontier vertex (see
 /// [`TraceDag::update`]). Public so the analyzer's sinks can journal
-/// the steps a script replay takes (via
-/// [`TraceDag::update_memoized_observed`]) and later re-apply the whole
-/// run in bulk with [`TraceDag::apply_script_delta`].
+/// the steps a script replay takes (via [`TraceDag::update_observed`])
+/// and later re-apply the whole run in bulk with
+/// [`TraceDag::apply_script_delta`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DagStep {
     /// Stuttering observer, same unit: the cursor stays put.
@@ -215,7 +223,7 @@ pub enum DagStep {
     Extend,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Vertex {
     label: Label,
     /// Possible repetition counts `R(v)` (paper §6.1).
@@ -519,9 +527,10 @@ impl TraceDag {
     /// Records one access with an already-projected observation set
     /// (paper §6.4 update).
     ///
-    /// The observation set is borrowed: the analyzer's sinks replay it
-    /// out of a projection cache, and the stuttering/repetition fast
-    /// paths never need an owned copy.
+    /// The observation set is borrowed: the analyzer's sinks project an
+    /// access once per observer class and fan the result out to every
+    /// lane, and the stuttering/repetition fast paths never need an
+    /// owned copy.
     pub fn update(&mut self, c: Cursor, obs: &ObsSet) -> Cursor {
         // Fast path: a single frontier vertex — the overwhelmingly common
         // case (straight-line code between forks). Reuses the cursor's
@@ -529,68 +538,23 @@ impl TraceDag {
         // none at all, because an extend from a count-transparent private
         // tail overwrites it in place (see `collapse_target`).
         if let [v] = c.verts[..] {
-            let same_unit = self.same_unit(v, obs);
-            return self.update_singleton(c, v, obs, same_unit);
+            let step = self.classify(v, obs);
+            return self.apply_singleton(c, v, obs, step);
         }
         self.update_frontier(c, obs)
     }
 
-    /// Whether `obs` denotes exactly the unit of `v`'s label — the
-    /// label-comparison half of the transition classification. The
-    /// answer depends only on `v`'s label and on `obs`, so the
-    /// analyzer's sinks memoize it per `(frontier vertex, address-set
-    /// key)` pair and replay hot loop bodies without re-deriving it (see
-    /// `update_memoized`). A label only changes under a tail collapse —
-    /// an extend that kept the frontier id — which is exactly the signal
-    /// those memos use to invalidate.
-    pub fn same_unit(&self, v: VertexId, obs: &ObsSet) -> bool {
-        obs.is_singleton() && matches!(&self.vertices[v.index()].label, Label::Obs(o) if o == obs)
-    }
-
-    /// [`TraceDag::update`] with the `same_unit` comparison supplied by
-    /// the caller's transition memo instead of recomputed. The memoized
-    /// answer is only valid for a **singleton** frontier whose vertex
-    /// kept its label since the memo entry was recorded — ids are never
-    /// reused between compactions, and the one in-place label change (a
-    /// tail collapse) keeps the frontier id, so callers detect it by
-    /// "extend returned the same frontier vertex" and drop their entry.
-    /// Callers with a multi-vertex frontier must take
-    /// [`TraceDag::update`].
-    ///
-    /// Every mutation goes through the same code path as the
-    /// unmemoized update, so a memo hit is bit-identical by
-    /// construction — the debug assertion pins the remaining input.
-    pub fn update_memoized(&mut self, c: Cursor, obs: &ObsSet, same_unit: bool) -> Cursor {
-        debug_assert_eq!(
-            c.verts.len(),
-            1,
-            "memoized transitions are singleton-frontier"
-        );
-        let v = c.verts[0];
-        debug_assert_eq!(same_unit, self.same_unit(v, obs), "stale transition memo");
-        self.update_singleton(c, v, obs, same_unit)
-    }
-
-    /// [`TraceDag::update_memoized`], additionally reporting which
-    /// transition was taken. The analyzer's sinks journal these steps
-    /// while recording a sink-side script delta (see
+    /// [`TraceDag::update`] on a **singleton** frontier, additionally
+    /// reporting which transition was taken. The analyzer's sinks journal
+    /// these steps while recording a sink-side script delta (see
     /// [`TraceDag::apply_script_delta`]); the mutation goes through the
     /// exact same path as the unreported update, so observing a step can
-    /// never change it.
-    pub fn update_memoized_observed(
-        &mut self,
-        c: Cursor,
-        obs: &ObsSet,
-        same_unit: bool,
-    ) -> (Cursor, DagStep) {
-        debug_assert_eq!(
-            c.verts.len(),
-            1,
-            "memoized transitions are singleton-frontier"
-        );
+    /// never change it. Callers with a multi-vertex frontier must take
+    /// [`TraceDag::update`].
+    pub fn update_observed(&mut self, c: Cursor, obs: &ObsSet) -> (Cursor, DagStep) {
+        debug_assert_eq!(c.verts.len(), 1, "observed updates are singleton-frontier");
         let v = c.verts[0];
-        debug_assert_eq!(same_unit, self.same_unit(v, obs), "stale transition memo");
-        let step = self.step_for(v, same_unit);
+        let step = self.classify(v, obs);
         (self.apply_singleton(c, v, obs, step), step)
     }
 
@@ -702,19 +666,6 @@ impl TraceDag {
         Cursor { verts }
     }
 
-    /// The singleton-frontier update: classification (from the supplied
-    /// label comparison plus the live exclusivity state) and mutation.
-    fn update_singleton(
-        &mut self,
-        c: Cursor,
-        v: VertexId,
-        obs: &ObsSet,
-        same_unit: bool,
-    ) -> Cursor {
-        let step = self.step_for(v, same_unit);
-        self.apply_singleton(c, v, obs, step)
-    }
-
     /// Mutation half of the singleton-frontier update.
     fn apply_singleton(&mut self, c: Cursor, v: VertexId, obs: &ObsSet, step: DagStep) -> Cursor {
         match step {
@@ -727,9 +678,7 @@ impl TraceDag {
             DagStep::Extend => {
                 // Tail collapse: a count-transparent private tail is
                 // overwritten in place — the chain stays one hot vertex
-                // long instead of growing per event. Callers memoizing
-                // per-vertex-id state must treat a label change under an
-                // unchanged frontier id as an invalidation (see
+                // long instead of growing per event (see
                 // [`TraceDag::collapse_target`]).
                 if self.collapse_target(v) {
                     let vert = &mut self.vertices[v.index()];
@@ -800,23 +749,18 @@ impl TraceDag {
         Cursor { verts: new_verts }
     }
 
-    /// How one frontier vertex reacts to an access labeled `obs`.
+    /// How one frontier vertex reacts to an access labeled `obs`: the
+    /// label comparison (does `obs` denote exactly the unit of `v`'s
+    /// label?) plus the live exclusivity state.
     fn classify(&self, v: VertexId, obs: &ObsSet) -> DagStep {
-        self.step_for(v, self.same_unit(v, obs))
-    }
-
-    /// The classification given the (possibly memoized) label
-    /// comparison. Exclusivity is always read live: `cursor_refs` and
-    /// `children` change as paths fork and extend, so only the label
-    /// half of the decision is cacheable.
-    fn step_for(&self, v: VertexId, same_unit: bool) -> DagStep {
+        let vert = &self.vertices[v.index()];
+        let same_unit = obs.is_singleton() && matches!(&vert.label, Label::Obs(o) if o == obs);
         if same_unit && self.observer.is_stuttering() {
             return DagStep::Stutter;
         }
         // In-place repetition bump is sound only when the label denotes
         // a *single* masked observation (a true repetition of the same
         // address unit) and no other path shares or extends this vertex.
-        let vert = &self.vertices[v.index()];
         if same_unit && vert.cursor_refs == 1 && vert.children == 0 {
             return DagStep::Bump;
         }
@@ -837,45 +781,121 @@ impl TraceDag {
         id
     }
 
+    /// Paper §6.4 join rule over a frontier: vertices with the same
+    /// parents and the same label merge, unioning their repetition sets
+    /// (see [`TraceDag::merge_pair`]).
+    ///
+    /// Only pairs with equal `preds` can merge, so rather than scanning
+    /// all pairs this sorts `(bucket key, position)` — equal `preds` share
+    /// a key, the first predecessor's id — and runs the pairwise scan
+    /// inside each bucket in ascending position order. That is exactly
+    /// the all-pairs scan's sequence of effectful steps, restricted to
+    /// each bucket, and buckets cannot interact: a merge changes only the
+    /// kept vertex's repetition set, the dropped vertex's `dead` flag,
+    /// and the `children` of the dropped vertex's preds. Those preds
+    /// still parent the kept sibling, so their `children` stays nonzero
+    /// and no vertex's disposability changes; labels and preds are never
+    /// touched. A merge writes the kept vertex into the earlier position
+    /// and the dropped one into the later, and dead entries are removed
+    /// at the end, so even the resulting order matches the all-pairs
+    /// scan (the `#[cfg(test)]` reference `merge_equal_siblings_pairwise`
+    /// and its proptest pin this).
+    ///
+    /// On a wide frontier — the final cursor of a fork-heavy run holds
+    /// hundreds of vertices, and every `Retire` joins into it — this is
+    /// `O(n log n)` per join instead of `O(n²)`.
     fn merge_equal_siblings(&mut self, verts: &mut Vec<VertexId>) {
+        if verts.len() < 2 {
+            return;
+        }
+        let mut order: Vec<(u32, u32)> = verts
+            .iter()
+            .enumerate()
+            .map(|(pos, v)| (self.vertices[v.index()].preds.bucket(), pos as u32))
+            .collect();
+        order.sort_unstable();
+        let mut merged = false;
+        let mut slots: Vec<usize> = Vec::new();
+        for bucket in order.chunk_by(|x, y| x.0 == y.0) {
+            if bucket.len() < 2 {
+                continue;
+            }
+            slots.clear();
+            slots.extend(bucket.iter().map(|&(_, pos)| pos as usize));
+            let mut i = 0;
+            while i < slots.len() {
+                let mut j = i + 1;
+                while j < slots.len() {
+                    match self.merge_pair(verts[slots[i]], verts[slots[j]]) {
+                        Some((keep, drop)) => {
+                            verts[slots[i]] = keep;
+                            verts[slots[j]] = drop;
+                            slots.remove(j);
+                            merged = true;
+                        }
+                        None => j += 1,
+                    }
+                }
+                i += 1;
+            }
+        }
+        if merged {
+            verts.retain(|v| !self.vertices[v.index()].dead);
+        }
+    }
+
+    /// The all-pairs form of [`TraceDag::merge_equal_siblings`], kept as
+    /// the reference its bucketed scan is tested against.
+    #[cfg(test)]
+    fn merge_equal_siblings_pairwise(&mut self, verts: &mut Vec<VertexId>) {
         let mut i = 0;
         while i < verts.len() {
             let mut j = i + 1;
             while j < verts.len() {
-                let (a, b) = (verts[i], verts[j]);
-                // Only a vertex that is exclusively owned by this cursor and
-                // has no descendants may be dissolved into its sibling.
-                let disposable = |v: &Vertex| v.children == 0 && v.cursor_refs == 1;
-                let (keep, drop) = {
-                    let va = &self.vertices[a.index()];
-                    let vb = &self.vertices[b.index()];
-                    if !(va.label == vb.label && va.preds == vb.preds) {
-                        j += 1;
-                        continue;
+                match self.merge_pair(verts[i], verts[j]) {
+                    Some((keep, _)) => {
+                        verts[i] = keep;
+                        verts.remove(j);
                     }
-                    if disposable(vb) {
-                        (a, b)
-                    } else if disposable(va) {
-                        (b, a)
-                    } else {
-                        j += 1;
-                        continue;
-                    }
-                };
-                let dropped_reps = self.vertices[drop.index()].reps.clone();
-                self.vertices[keep.index()].reps.extend_from(&dropped_reps);
-                self.touch(keep);
-                for p in self.vertices[drop.index()].preds.clone().as_slice() {
-                    self.vertices[p.index()].children -= 1;
+                    None => j += 1,
                 }
-                self.vertices[drop.index()].dead = true;
-                self.dead_count += 1;
-                self.touch(drop);
-                verts[i] = keep;
-                verts.remove(j);
             }
             i += 1;
         }
+    }
+
+    /// The §6.4 join rule on one frontier pair: if `a` and `b` have equal
+    /// labels and equal preds and one of them is disposable, it is
+    /// dissolved into the other, which absorbs its repetition set.
+    /// Returns `(keep, drop)` when the pair merged.
+    fn merge_pair(&mut self, a: VertexId, b: VertexId) -> Option<(VertexId, VertexId)> {
+        // Only a vertex that is exclusively owned by this cursor and has
+        // no descendants may be dissolved into its sibling.
+        let disposable = |v: &Vertex| v.children == 0 && v.cursor_refs == 1;
+        let (keep, drop) = {
+            let va = &self.vertices[a.index()];
+            let vb = &self.vertices[b.index()];
+            if !(va.label == vb.label && va.preds == vb.preds) {
+                return None;
+            }
+            if disposable(vb) {
+                (a, b)
+            } else if disposable(va) {
+                (b, a)
+            } else {
+                return None;
+            }
+        };
+        let dropped_reps = self.vertices[drop.index()].reps.clone();
+        self.vertices[keep.index()].reps.extend_from(&dropped_reps);
+        self.touch(keep);
+        for p in self.vertices[drop.index()].preds.clone().as_slice() {
+            self.vertices[p.index()].children -= 1;
+        }
+        self.vertices[drop.index()].dead = true;
+        self.dead_count += 1;
+        self.touch(drop);
+        Some((keep, drop))
     }
 
     /// Upper-bounds the number of distinguishable observation sequences for
@@ -1011,6 +1031,7 @@ impl fmt::Display for TraceDag {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msym::MaskedSymbol;
 
     fn consts(vals: &[u64]) -> ValueSet {
         ValueSet::from_constants(vals.iter().copied(), 32)
@@ -1039,11 +1060,11 @@ mod tests {
         dag.count(&cur)
     }
 
-    /// Journals one run of a repeated "script" with
-    /// `update_memoized_observed`, replays the next run through
-    /// `apply_script_delta`, and checks the DAG counts the same trace set
-    /// as the fully per-event reference — the core soundness argument of
-    /// the analyzer's sink-side script replay.
+    /// Journals one run of a repeated "script" with `update_observed`,
+    /// replays the next run through `apply_script_delta`, and checks the
+    /// DAG counts the same trace set as the fully per-event reference —
+    /// the core soundness argument of the analyzer's sink-side script
+    /// replay.
     fn check_script_delta(observer: Observer, addrs: &[u64]) {
         const RUNS: usize = 3;
         let obs_seq: Vec<ObsSet> = addrs
@@ -1068,8 +1089,7 @@ mod tests {
         let mut entry_bumps = 0u64;
         let mut chain: Vec<(ObsSet, u64)> = Vec::new();
         for obs in &obs_seq {
-            let same = dag.same_unit(cur.vertices()[0], obs);
-            let (next, step) = dag.update_memoized_observed(cur, obs, same);
+            let (next, step) = dag.update_observed(cur, obs);
             cur = next;
             match step {
                 DagStep::Stutter => {}
@@ -1280,6 +1300,117 @@ mod tests {
         dag.compact([&mut cur]);
         assert_eq!(dag.vertex_count(), n);
         assert_eq!(dag.count(&cur).to_u64(), Some(1));
+    }
+
+    /// One vertex of a synthetic join-oracle DAG: `parents` are reduced
+    /// modulo a small pool of early vertices so siblings share preds
+    /// often; two or more distinct parents make an ε-join vertex.
+    #[derive(Debug, Clone)]
+    struct RawVertex {
+        label: u8,
+        parents: Vec<u8>,
+        reps: u8,
+        on_frontier: bool,
+        shared: bool,
+    }
+
+    /// Builds a DAG and a frontier straight from `raw`: vertex `i + 1`
+    /// takes `raw[i]`'s shape, frontier vertices get one cursor
+    /// reference (two when `shared`, making them non-disposable), and
+    /// frontier vertices that parent others are non-disposable too.
+    fn oracle_dag(raw: &[RawVertex]) -> (TraceDag, Vec<VertexId>) {
+        const PARENT_POOL: usize = 8;
+        let labels = [
+            Label::Obs(ObsSet::from_observations([0x10u64, 0x20].map(|a| {
+                Observer::address().project(&MaskedSymbol::constant(a, 32))
+            }))),
+            Label::Obs(Observer::address().project_set(&consts(&[0x10]))),
+            Label::Obs(Observer::address().project_set(&consts(&[0x20]))),
+            Label::Obs(Observer::address().project_set(&consts(&[0x30]))),
+        ];
+        let (mut dag, root) = TraceDag::new(Observer::address());
+        dag.drop_cursor(root);
+        let mut frontier = Vec::new();
+        for (i, r) in raw.iter().enumerate() {
+            let pool = (i + 1).min(PARENT_POOL);
+            let mut parents: Vec<VertexId> = r
+                .parents
+                .iter()
+                .map(|&p| VertexId((p as usize % pool) as u32))
+                .collect();
+            parents.sort();
+            parents.dedup();
+            for p in &parents {
+                dag.vertices[p.index()].children += 1;
+            }
+            let (label, preds) = match parents[..] {
+                [p] => (
+                    labels[r.label as usize % labels.len()].clone(),
+                    Preds::One(p),
+                ),
+                _ => (Label::Epsilon, Preds::Many(parents)),
+            };
+            let refs = match (r.on_frontier, r.shared) {
+                (false, _) => 0,
+                (true, false) => 1,
+                (true, true) => 2,
+            };
+            let v = dag.push_vertex(label, preds, refs);
+            dag.vertices[v.index()].reps = match r.reps % 4 {
+                0 => Reps::Many(vec![1, u64::from(r.reps)]),
+                n => Reps::One(u64::from(n)),
+            };
+            if r.on_frontier {
+                frontier.push(v);
+            }
+        }
+        (dag, frontier)
+    }
+
+    fn raw_vertex() -> impl proptest::strategy::Strategy<Value = RawVertex> {
+        use proptest::prelude::*;
+        (
+            any::<u8>(),
+            proptest::collection::vec(any::<u8>(), 1..4),
+            4u8..16,
+            0u8..8,
+            0u8..4,
+        )
+            .prop_map(|(label, parents, reps, frontier, shared)| RawVertex {
+                label,
+                parents,
+                reps,
+                on_frontier: frontier != 0,
+                shared: shared == 0,
+            })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The bucketed §6.4 join is the all-pairs scan, step for step:
+        /// over wide frontiers (≥ 64 vertices) with ε-join vertices,
+        /// equal and distinct labels, and non-disposable members, both
+        /// leave identical frontiers (in order), vertex tables, dead
+        /// counts and trace counts.
+        #[test]
+        fn bucketed_join_matches_pairwise_reference(
+            raw in proptest::collection::vec(raw_vertex(), 96..192)
+        ) {
+            let (mut bucketed, mut frontier) = oracle_dag(&raw);
+            let (mut pairwise, mut reference) = oracle_dag(&raw);
+            proptest::prop_assume!(frontier.len() >= 64);
+            bucketed.merge_equal_siblings(&mut frontier);
+            pairwise.merge_equal_siblings_pairwise(&mut reference);
+            proptest::prop_assert_eq!(&frontier, &reference);
+            proptest::prop_assert_eq!(bucketed.dead_vertices(), pairwise.dead_vertices());
+            proptest::prop_assert!(bucketed.dead_vertices() > 0, "the join must fire");
+            let (a, b): (Vec<&Vertex>, Vec<&Vertex>) =
+                (bucketed.vertices.iter().collect(), pairwise.vertices.iter().collect());
+            proptest::prop_assert_eq!(a, b);
+            let (a, b) = (Cursor { verts: frontier }, Cursor { verts: reference });
+            proptest::prop_assert_eq!(bucketed.count(&a), pairwise.count(&b));
+        }
     }
 
     #[test]

@@ -808,10 +808,11 @@ impl SweepEngine {
     /// grouped outcome carries the union suite, and each member's solo
     /// suite is projected out by row selection — nothing is recomputed,
     /// so grouped rows are byte-for-byte what a solo run yields. The
-    /// lead is `Computed` with the pass's wall time; other members are
-    /// [`Provenance::SharedPass`] at zero elapsed. Errors (including
-    /// cancellations) apply to every member and, like solo errors, are
-    /// never cached.
+    /// lead is `Computed` with the pass's wall time, phase timings and
+    /// memo counters; other members are [`Provenance::SharedPass`] at
+    /// zero elapsed with zero timings and counters (a view did not pay
+    /// for the pass). Errors (including cancellations) apply to every
+    /// member and, like solo errors, are never cached.
     fn demux_outcome(
         &self,
         members: &[usize],
@@ -829,19 +830,12 @@ impl SweepEngine {
                     let report = if members.len() == 1 {
                         Arc::clone(&union)
                     } else {
-                        let rows = configs[m]
-                            .observer_suite()
-                            .into_iter()
-                            .map(|spec| {
-                                union
-                                    .rows()
-                                    .iter()
-                                    .find(|row| row.spec == spec)
-                                    .expect("union suite covers every member suite")
-                                    .clone()
-                            })
-                            .collect();
-                        Arc::new(LeakReport::from_rows(rows))
+                        let own = union.select(&configs[m].observer_suite());
+                        Arc::new(if pos == 0 {
+                            own
+                        } else {
+                            LeakReport::from_rows(own.rows().to_vec())
+                        })
                     };
                     let key = metas[m].0;
                     self.memory.put(key, Arc::clone(&report));

@@ -295,3 +295,42 @@ fn single_cell_queries_reuse_sweep_results() {
     assert_eq!(cell.provenance, Provenance::MemoryHit);
     assert_eq!(engine.cached_reports(), 2);
 }
+
+#[test]
+fn grouped_leads_keep_their_pass_timings_and_memo_counters() {
+    use std::collections::BTreeSet;
+    use std::time::Duration;
+
+    use leakaudit_analyzer::{MemoStats, PhaseTimings};
+
+    let sweep = SweepEngine::new().run(&Registry::granularity_sweep());
+    let leads: BTreeSet<usize> = sweep
+        .cells()
+        .iter()
+        .filter_map(|cell| match cell.provenance {
+            Provenance::SharedPass { of } => Some(of),
+            _ => None,
+        })
+        .collect();
+    assert!(!leads.is_empty(), "granularity variants must share a pass");
+    for (i, cell) in sweep.cells().iter().enumerate() {
+        let id = cell.spec.id();
+        let report = cell.result.as_ref().expect("cell converged");
+        let (timings, memo) = (report.timings(), report.memo_stats());
+        if leads.contains(&i) {
+            // The lead paid for the pass: it reports the pass's split
+            // and counters, like a solo computed cell.
+            assert_eq!(cell.provenance, Provenance::Computed, "{id}");
+            assert!(timings.interpret > Duration::ZERO, "{id}: interpret");
+            assert!(timings.replay > Duration::ZERO, "{id}: replay");
+            assert!(
+                memo.transfer_hits + memo.transfer_misses > 0,
+                "{id}: memo counters"
+            );
+        } else if let Provenance::SharedPass { .. } = cell.provenance {
+            // Members view the pass: nothing of their own.
+            assert_eq!(timings, PhaseTimings::default(), "{id}");
+            assert_eq!(memo, MemoStats::default(), "{id}");
+        }
+    }
+}
