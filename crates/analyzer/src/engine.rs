@@ -17,6 +17,9 @@
 //! full observer suite (18 specs by default) costs one abstract pass
 //! plus parallel bookkeeping, rather than 18 cursor updates interleaved
 //! into every scheduler step.
+//!
+//! A report's [`MemoStats`] come from the scheduler alone: the per-pc
+//! transfer memo is the only memo layer, and the sinks keep no counters.
 
 use leakaudit_x86::Program;
 
@@ -79,11 +82,10 @@ pub(crate) fn run(
     let suite = config.observer_suite();
     let sinks = class_sinks(&suite);
     let mut memo = MemoStats::default();
-    let (rows, timings, sink_memo) =
+    let (rows, timings) =
         sink::run_pipeline_with(sinks, config.parallel_sinks, config.sink_tuning, |bus| {
             scheduler::drive(config, program, init, bus, &mut memo)
         })?;
-    memo.accumulate(&sink_memo);
     Ok(LeakReport::new(reorder_rows(rows, &suite))
         .with_timings(timings)
         .with_memo(memo))
@@ -118,11 +120,10 @@ pub(crate) fn run_union(
     }
     let sinks = class_sinks(&union);
     let mut memo = MemoStats::default();
-    let (rows, timings, sink_memo) =
+    let (rows, timings) =
         sink::run_pipeline_with(sinks, lead.parallel_sinks, lead.sink_tuning, |bus| {
             scheduler::drive(lead, program, init, bus, &mut memo)
         })?;
-    memo.accumulate(&sink_memo);
     Ok(LeakReport::new(reorder_rows(rows, &union))
         .with_timings(timings)
         .with_memo(memo))

@@ -258,9 +258,7 @@ pub struct AnalysisConfig {
     /// for any tuning, so, like `parallel_sinks`, it is excluded from
     /// cache-key identity.
     pub sink_tuning: sink::SinkTuning,
-    /// Memoize abstract transfers per pc and replay repeated
-    /// straight-line runs as superblock scripts (see `crate::memo`).
-    /// Results are bit-identical either way — the memo layer only skips
+    /// Memoize abstract transfers per pc (see `crate::memo`). Results are bit-identical either way — the memo layer only skips
     /// recomputation, pinned by the `interp_memo_props` suite — so,
     /// like `parallel_sinks`, this is excluded from cache-key identity.
     /// On by default; turn off to run the naive interpreter (the

@@ -46,37 +46,21 @@ impl PhaseTimings {
 /// Interpreter-memo counters for one analysis run.
 ///
 /// Instrumentation only, like [`PhaseTimings`]: never part of result
-/// identity, zeroed for cache-decoded reports. `script_steps` counts
-/// abstract steps covered by superblock replays (each also counted in
-/// `transfer_hits`-equivalent work avoided, but *not* in
-/// `transfer_hits` — a scripted step skips the per-step probe
-/// entirely).
+/// identity, zeroed for cache-decoded reports. Every abstract step is
+/// counted once, as a transfer hit or a miss.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoStats {
     /// Per-pc transfer memo hits (recorded effect replayed).
     pub transfer_hits: u64,
     /// Transfer memo misses and bypasses (naive transfer executed).
     pub transfer_misses: u64,
-    /// Superblock script replays (lone + forked).
+    /// Retired, always 0, kept for the benchmark reader.
     pub script_replays: u64,
-    /// Script replays taken while a single configuration was live.
-    pub script_replays_lone: u64,
-    /// Script replays taken while fork siblings were live — the
-    /// fork-coverage counter; always ≤ `script_replays`.
-    pub script_replays_forked: u64,
-    /// Abstract steps covered by script replays.
+    /// Retired, always 0, kept for the benchmark reader.
     pub script_steps: u64,
-    /// Sink-side script-delta hits: whole scripted event runs a
-    /// `DagSink` applied as one bulk DAG delta instead of per-event
-    /// cursor updates (lone + forked).
+    /// Retired, always 0, kept for the benchmark reader.
     pub sink_script_hits: u64,
-    /// Sink script hits whose script replayed with no fork sibling live.
-    pub sink_script_hits_lone: u64,
-    /// Sink script hits whose script replayed while fork siblings were
-    /// live; always ≤ `sink_script_hits`.
-    pub sink_script_hits_forked: u64,
-    /// Trace events covered by sink script hits (per-event replay work
-    /// skipped).
+    /// Retired, always 0, kept for the benchmark reader.
     pub sink_script_events: u64,
 }
 
@@ -85,14 +69,6 @@ impl MemoStats {
     pub fn accumulate(&mut self, other: &MemoStats) {
         self.transfer_hits += other.transfer_hits;
         self.transfer_misses += other.transfer_misses;
-        self.script_replays += other.script_replays;
-        self.script_replays_lone += other.script_replays_lone;
-        self.script_replays_forked += other.script_replays_forked;
-        self.script_steps += other.script_steps;
-        self.sink_script_hits += other.sink_script_hits;
-        self.sink_script_hits_lone += other.sink_script_hits_lone;
-        self.sink_script_hits_forked += other.sink_script_hits_forked;
-        self.sink_script_events += other.sink_script_events;
     }
 }
 

@@ -3,8 +3,7 @@
 //!
 //! The production sinks ([`DagSink`]) layer shortcuts over trace replay:
 //! one projection per observer class fanned out to every lane (with a
-//! projection map for multi-element address sets), the per-lane script
-//! delta memo (bulk-applying whole scripted runs), the DAG's tail
+//! projection map for multi-element address sets), the DAG's tail
 //! collapse, and periodic compaction. None of those may change a single
 //! bit of the resulting counts. The reference
 //! implementation here replays the identical event stream straight
@@ -44,8 +43,8 @@ fn suite() -> Vec<ObserverSpec> {
 
 /// A small fixed pool of address sets, built once per stream so that
 /// cloned entries share [`leakaudit_core::MemoKey`] identity — repeats
-/// from the pool are exactly what the projection map and the script
-/// and tail-collapse shortcuts exist to capture. Entry 4 crosses the block(6) boundary, entry 3
+/// from the pool are exactly what the projection map and the
+/// tail-collapse shortcut exist to capture. Entry 4 crosses the block(6) boundary, entry 3
 /// stays inside one block (same-unit for coarse observers, distinct for
 /// `address()`).
 fn address_pool() -> Vec<ValueSet> {
@@ -227,9 +226,6 @@ impl Naive {
                     Some(acc) => self.dag.merge_cursors(acc, cur),
                 });
             }
-            // Script markers are pure announcements: the access events
-            // that follow are complete on their own.
-            TraceEvent::Script { .. } => {}
         }
     }
 
@@ -273,7 +269,7 @@ fn memoized_rows(events: &[TraceEvent], chunk: usize) -> Vec<LeakRow> {
         queue: Some(1),
         min_cores: usize::MAX, // force the serial path regardless of host
     };
-    let (rows, _, _) = run_pipeline_with(class_sinks(&suite), false, tuning, |bus| {
+    let (rows, _) = run_pipeline_with(class_sinks(&suite), false, tuning, |bus| {
         for event in events {
             bus.emit(event.clone());
         }
@@ -325,7 +321,7 @@ proptest! {
             .into_iter()
             .map(|spec| Box::new(DagSink::new(spec, ConfigId::ROOT)) as Box<dyn ObserverSink>)
             .collect();
-        let (solo_rows, _, _) =
+        let (solo_rows, _) =
             run_pipeline_with(solo_sinks, false, SinkTuning::default(), |bus| {
                 for event in &events {
                     bus.emit(event.clone());

@@ -25,21 +25,18 @@
 //! * `--baseline FILE`: embed a previous perfbench report as the
 //!   `baseline` field and compute `speedup_vs_baseline`.
 //!
-//! JSON schema (`leakaudit-perfbench/v9` — v8 plus the sink-side
-//! script-memo counters (`sink_script_hits`, with the lone/forked
-//! split, and `sink_script_events`) inside every `interp_memo` object,
-//! and `replay` inside `speedup_vs_baseline`: the combined
+//! JSON schema (`leakaudit-perfbench/v10` — v9 with every
+//! `interp_memo` object cut down to `transfer_hits` and
+//! `transfer_misses`, the only interpreter memo left. Inherited from
+//! v9: `replay` inside `speedup_vs_baseline`, the combined
 //! replay-phase ratio over the heavy cells (every `secure-retrieve`,
-//! `scatter-gather` and `defensive-gather` scenario) — the headline
-//! number of the sink-side script-replay optimization. Inherited from
-//! v8: per-scenario interpreter-memo counter splits
-//! (`scenario_interp_memo`: name → hit/miss/replay counters for one
-//! analysis of that scenario, where v7 had only run totals), the
-//! lone/forked script-replay split inside every `interp_memo` object,
-//! and the optional `ab_memo_ms` section (name → `{on, off}` median
-//! ms) when `--ab` is given. Inherited from v7: the interpreter-memo
-//! run totals (`interp_memo`: cumulative transfer-memo hit/miss and
-//! superblock-script counters over one analysis of every scenario) and,
+//! `scatter-gather` and `defensive-gather` scenario). Inherited from
+//! v8: per-scenario interpreter-memo counters (`scenario_interp_memo`:
+//! name → counters for one analysis of that scenario, where v7 had
+//! only run totals) and the optional `ab_memo_ms` section (name →
+//! `{on, off}` median ms) when `--ab` is given. Inherited from v7: the
+//! interpreter-memo run totals (`interp_memo`: cumulative transfer-memo
+//! counters over one analysis of every scenario) and,
 //! when a v6+ baseline is given, `phase_speedup_vs_baseline` — the
 //! per-scenario interpret/replay/count phase ratios, extracted *scoped*
 //! to each scenario's own object inside the baseline's
@@ -288,20 +285,8 @@ fn main() {
             phase_ms(phases.count),
         );
         println!(
-            "      memo: {} hits / {} misses | {} replays ({} lone + {} forked) over {} steps",
-            memo.transfer_hits,
-            memo.transfer_misses,
-            memo.script_replays,
-            memo.script_replays_lone,
-            memo.script_replays_forked,
-            memo.script_steps,
-        );
-        println!(
-            "      sink: {} script hits ({} lone + {} forked) covering {} events",
-            memo.sink_script_hits,
-            memo.sink_script_hits_lone,
-            memo.sink_script_hits_forked,
-            memo.sink_script_events,
+            "      memo: {} hits / {} misses",
+            memo.transfer_hits, memo.transfer_misses,
         );
         scenario_ms.push((s.name.as_str(), ms));
         scenario_phases.push((s.name.as_str(), phases));
@@ -310,21 +295,8 @@ fn main() {
     }
     let total_sequential: f64 = scenario_ms.iter().map(|(_, ms)| ms).sum();
     println!(
-        "  interp memo: {} transfer hits / {} misses, {} script replays \
-         ({} lone + {} forked) covering {} steps",
-        memo_totals.transfer_hits,
-        memo_totals.transfer_misses,
-        memo_totals.script_replays,
-        memo_totals.script_replays_lone,
-        memo_totals.script_replays_forked,
-        memo_totals.script_steps,
-    );
-    println!(
-        "  sink memo: {} script hits ({} lone + {} forked) covering {} events",
-        memo_totals.sink_script_hits,
-        memo_totals.sink_script_hits_lone,
-        memo_totals.sink_script_hits_forked,
-        memo_totals.sink_script_events,
+        "  interp memo: {} transfer hits / {} misses",
+        memo_totals.transfer_hits, memo_totals.transfer_misses,
     );
 
     // Interleaved memo A/B: on and off alternate within the same loop,
@@ -557,7 +529,7 @@ fn main() {
     };
 
     let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"schema\": \"leakaudit-perfbench/v9\",");
+    let _ = writeln!(json, "  \"schema\": \"leakaudit-perfbench/v10\",");
     let _ = writeln!(json, "  \"label\": \"{}\",", json_escape(&args.label));
     let _ = writeln!(json, "  \"iters\": {},", args.iters);
     let _ = writeln!(json, "  \"warmup\": {},", args.warmup);
@@ -587,21 +559,8 @@ fn main() {
     let _ = writeln!(json, "  }},");
     let memo_obj = |m: &MemoStats| {
         format!(
-            "{{\"transfer_hits\": {}, \"transfer_misses\": {}, \
-             \"script_replays\": {}, \"script_replays_lone\": {}, \
-             \"script_replays_forked\": {}, \"script_steps\": {}, \
-             \"sink_script_hits\": {}, \"sink_script_hits_lone\": {}, \
-             \"sink_script_hits_forked\": {}, \"sink_script_events\": {}}}",
-            m.transfer_hits,
-            m.transfer_misses,
-            m.script_replays,
-            m.script_replays_lone,
-            m.script_replays_forked,
-            m.script_steps,
-            m.sink_script_hits,
-            m.sink_script_hits_lone,
-            m.sink_script_hits_forked,
-            m.sink_script_events,
+            "{{\"transfer_hits\": {}, \"transfer_misses\": {}}}",
+            m.transfer_hits, m.transfer_misses,
         )
     };
     let _ = writeln!(json, "  \"scenario_interp_memo\": {{");
@@ -660,8 +619,7 @@ fn main() {
             let speedup_stream = speedup("sweep_stream_warm_ms", sweep_stream_warm_ms);
             let speedup_group = speedup("granularity_group_cold_ms", granularity_group_cold_ms);
             let speedup_evicting = speedup("evicting_sweep_ms", evicting_sweep_ms);
-            // The headline ratio of the sink-side script-replay work:
-            // combined replay phase over the heavy cells.
+            // Combined replay phase over the heavy cells.
             let speedup_replay = heavy_replay_speedup(base, &scenario_phases)
                 .map_or_else(|| "null".into(), |r| format!("{r:.3}"));
             // Scoped per-scenario phase ratios (null per-field when the

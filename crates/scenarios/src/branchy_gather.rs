@@ -36,13 +36,11 @@ const GUARD: u32 = 0x4_f000;
 ///     acc := acc ^ v
 /// ```
 ///
-/// The guard reload is the loop's memoizable kernel: its only live-in
-/// is the memory stamp (no registers, no flags), so it scripts at
-/// length one and replays on every trip — including trips taken while
-/// a matched sibling is parked in the cold section. The table load
-/// right after it reads through `ebx`, whose value is fresh each
-/// trip, so the script never grows past the guard: the family pins
-/// down the shortest multi-event script the sink layer must batch.
+/// The guard reload is the loop's memoizable kernel: its only input is
+/// the memory stamp (no registers, no flags), so it hits the transfer
+/// memo on every trip — including trips taken while a matched sibling
+/// is parked in the cold section. The table load right after it reads
+/// through `ebx`, whose value is fresh each trip, so it misses.
 ///
 /// `ecx` holds the secret index `k ∈ {0..entries-1}`; `ebx` holds the
 /// dynamically allocated table `p` of `rounds` 32-bit words; the guard
@@ -53,10 +51,8 @@ const GUARD: u32 = 0x4_f000;
 /// the same loop body.
 ///
 /// The matched body is laid out *cold*, after the loop — the compiler
-/// idiom for an unlikely path. The layout is load-bearing for the
-/// memo layers: the hot not-matched superblock then sits entirely
-/// below the address where the matched sibling parks, which is the
-/// precondition for replaying its script while forked.
+/// idiom for an unlikely path: the hot not-matched body then sits
+/// entirely below the address where the matched sibling parks.
 ///
 /// # Panics
 ///
@@ -147,31 +143,6 @@ mod tests {
         // the 8 distinct fetch traces actually reveal.
         assert!(report.icache_bits(Observer::address()) >= 3.0);
         assert_eq!(s.name, "branchy-gather[e=8,r=12,b=6]");
-    }
-
-    #[test]
-    fn fork_dense_loop_replays_scripts_forked_into_the_sinks() {
-        // The registry's purpose for this family: every candidate
-        // iteration forks, and the loop's guard-reload kernel must
-        // still be scripted and replayed — both by the interpreter
-        // memo (forked replays) and by the sink-side script memo
-        // (forked hits, since replays keep landing while a matched
-        // sibling is parked in the cold section).
-        let report = variant(8, 12, 6).analyze().unwrap();
-        let m = report.memo_stats();
-        assert!(
-            m.script_replays_forked > 0,
-            "interpreter never replayed a script while forked: {m:?}"
-        );
-        assert!(
-            m.sink_script_hits_forked > 0,
-            "sinks never replayed a script delta while forked: {m:?}"
-        );
-        assert_eq!(
-            m.sink_script_hits_lone + m.sink_script_hits_forked,
-            m.sink_script_hits,
-            "lone/forked must partition the sink hits"
-        );
     }
 
     #[test]

@@ -152,6 +152,8 @@ pub fn entry_byte(entry: u32, offset: u32) -> u8 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use leakaudit_analyzer::sink::{EventBus, TraceEvent};
+    use leakaudit_analyzer::{Analysis, AnalysisConfig, Budget};
     use leakaudit_core::Observer;
 
     #[test]
@@ -170,22 +172,51 @@ mod tests {
         }
     }
 
+    /// Collects the raw event stream of one interpretation.
+    #[derive(Default)]
+    struct Collector(Vec<TraceEvent>);
+
+    impl EventBus for Collector {
+        fn emit(&mut self, event: TraceEvent) {
+            self.0.push(event);
+        }
+    }
+
     #[test]
-    fn sink_script_replay_fires_on_the_paper_instance() {
-        // The deterministic anchor for the sink-side script memo: the
-        // branchless copy is one long scripted loop, so once the lanes
-        // have journaled a delta the remaining replays must hit.
-        let report = libgcrypt_163().analyze().unwrap();
-        let m = report.memo_stats();
-        assert!(
-            m.sink_script_hits > 0,
-            "sink-side script replay never fired: {m:?}"
-        );
-        assert!(m.sink_script_events > 0, "hits must cover events");
+    fn memo_behaviour_does_not_depend_on_a_deadline() {
+        // A wall-clock deadline only adds clock samples to the step
+        // loop: the memo must take the same hits, the events and rows
+        // must match, and so must the counters. The deadline is far
+        // beyond any real run, so it never trips.
+        let s = libgcrypt_163();
+        let plain = s.analysis_config();
+        let timed = AnalysisConfig {
+            budget: Budget {
+                deadline_ms: Some(600_000),
+                ..plain.budget
+            },
+            ..plain.clone()
+        };
+        let run = |config: &AnalysisConfig| {
+            let mut bus = Collector::default();
+            let stats = Analysis::new(config.clone())
+                .interpret(&s, &mut bus)
+                .expect("interpretation converges");
+            let report = Analysis::new(config.clone())
+                .run(&s)
+                .expect("analysis converges");
+            (bus.0, stats, report)
+        };
+        let (plain_events, plain_stats, plain_report) = run(&plain);
+        let (timed_events, timed_stats, timed_report) = run(&timed);
+        assert!(plain_stats.transfer_hits > 0, "the copy loop hits the memo");
+        assert_eq!(plain_events, timed_events, "event streams");
+        assert_eq!(plain_stats, timed_stats, "interpreter memo counters");
+        assert_eq!(plain_report.rows(), timed_report.rows(), "rows");
         assert_eq!(
-            m.sink_script_hits_lone + m.sink_script_hits_forked,
-            m.sink_script_hits,
-            "lone/forked must partition the sink hits"
+            plain_report.memo_stats(),
+            timed_report.memo_stats(),
+            "report memo counters"
         );
     }
 

@@ -67,8 +67,8 @@ pub struct AuditProfile {
     /// Request-scoped cycle-model column (overrides the engine-level
     /// [`SweepEngine::with_cycle_model`] policy for this sweep only).
     pub cycle_model: Option<Policy>,
-    /// Override for the interpreter's memo layer (`Some(false)` forces
-    /// the naive reference path). Not part of result identity — memoized
+    /// Override for the interpreter's transfer memo (`Some(false)`
+    /// forces the naive reference path). Not part of result identity — memoized
     /// and naive runs are bit-identical by construction, so flipping
     /// this never changes a cache key or a row.
     pub interp_memo: Option<bool>,

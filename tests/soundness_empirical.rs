@@ -8,12 +8,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use leakaudit::analyzer::Channel;
+use leakaudit::analyzer::{Analysis, Channel, LeakReport};
 use leakaudit::core::Observer;
-use leakaudit::scenarios::{self, Scenario};
+use leakaudit::scenarios::{self, Registry, Scenario};
 
-/// Collects, per heap layout, the set of distinct observer views over all
-/// secrets, and checks it against the static count.
+/// Checks one paper scenario, analyzed with its own configuration,
+/// against the default observer set.
 fn check_scenario(s: &Scenario) {
     let report = s.analyze().unwrap_or_else(|e| panic!("{}: {e}", s.name));
     let b = s.block_bits;
@@ -25,7 +25,12 @@ fn check_scenario(s: &Scenario) {
         Observer::bank().stuttering(),
         Observer::page(),
     ];
+    check_views(s, &report, &observers);
+}
 
+/// Collects, per heap layout, the set of distinct observer views over all
+/// secrets, and checks it against the static count in `report`.
+fn check_views(s: &Scenario, report: &LeakReport, observers: &[Observer]) {
     // layout -> traces of all secrets under that layout.
     let mut by_layout: BTreeMap<usize, Vec<leakaudit::x86::EmuTrace>> = BTreeMap::new();
     for case in &s.cases {
@@ -37,7 +42,7 @@ fn check_scenario(s: &Scenario) {
 
     for (layout, traces) in &by_layout {
         for channel in [Channel::Instruction, Channel::Data, Channel::Shared] {
-            for obs in observers {
+            for &obs in observers {
                 let views: BTreeSet<Vec<u64>> = traces
                     .iter()
                     .map(|t| {
@@ -54,16 +59,24 @@ fn check_scenario(s: &Scenario) {
                     .iter()
                     .find(|r| r.spec.channel == channel && r.spec.observer == obs)
                     .unwrap_or_else(|| panic!("missing row {channel}/{obs}"));
-                // Huge counts (e.g. 2^1152) trivially dominate the handful
-                // of concrete cases; compare exactly when they fit in u64.
-                if let Some(bound) = row.count.to_u64() {
-                    assert!(
+                // Compare exactly when the count fits in u64; huge counts
+                // (e.g. 2^1152) are compared in log2 bits.
+                match row.count.to_u64() {
+                    Some(bound) => assert!(
                         views.len() as u64 <= bound,
                         "{} layout {layout}: {channel}/{obs}: {} distinct \
                          concrete views exceed the static bound {bound}",
                         s.name,
                         views.len()
-                    );
+                    ),
+                    None => assert!(
+                        (views.len() as f64).log2() <= row.bits,
+                        "{} layout {layout}: {channel}/{obs}: {} distinct \
+                         concrete views exceed the static bound of {} bits",
+                        s.name,
+                        views.len(),
+                        row.bits
+                    ),
                 }
             }
         }
@@ -108,6 +121,32 @@ fn theorem_1_scatter_gather() {
 #[test]
 fn theorem_1_defensive_gather() {
     check_scenario(&scenarios::defensive_gather::openssl_102g());
+}
+
+/// Theorem 1 on every cell of the default sweep: each cell is analyzed
+/// with its own configuration (including bank/page overrides, which
+/// `Scenario::analyze` would drop) and checked against the observers of
+/// its own observation bits.
+#[test]
+fn theorem_1_every_default_sweep_cell() {
+    let registry = Registry::default_sweep();
+    for spec in registry.specs() {
+        let s = spec.build();
+        assert!(!s.cases.is_empty(), "{}: no concrete cases", s.name);
+        let report = Analysis::new(spec.analysis_config())
+            .run(&s)
+            .unwrap_or_else(|e| panic!("{}: {e}", s.name));
+        let (block, bank, page) = spec.observation_bits();
+        let observers = [
+            Observer::address(),
+            Observer::block(block),
+            Observer::block(block).stuttering(),
+            Observer::block(bank),
+            Observer::block(bank).stuttering(),
+            Observer::block(page),
+        ];
+        check_views(&s, &report, &observers);
+    }
 }
 
 #[test]
