@@ -103,6 +103,16 @@ impl Channel {
             _ => None,
         }
     }
+
+    /// Whether an observer on this channel sees instruction fetches.
+    pub fn sees_fetches(self) -> bool {
+        self != Channel::Data
+    }
+
+    /// Whether an observer on this channel sees data accesses.
+    pub fn sees_data(self) -> bool {
+        self != Channel::Instruction
+    }
 }
 
 impl fmt::Display for Channel {

@@ -42,14 +42,13 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use leakaudit_core::ValueSet;
 use leakaudit_x86::{Inst, Program};
 
 use crate::exec::{execute_decoded, execute_logged, rw_sets, EffectLog, Next, RwSets};
 use crate::memo::{self, TransferEffect, WayProbe, WaySet};
 use crate::report::MemoStats;
-use crate::sink::{AccessKind, ConfigId, EventBus, TraceEvent};
-use crate::state::InitState;
+use crate::sink::{ConfigId, EventBus, TraceEvent};
+use crate::state::{AbsState, InitState};
 use crate::{AnalysisConfig, AnalysisError, BudgetLimit};
 use leakaudit_x86::Reg;
 
@@ -62,19 +61,24 @@ const DEADLINE_CHECK_MASK: u64 = 0x3ff;
 /// One live configuration: a program point plus the abstract machine
 /// state that reached it. Trace bookkeeping lives in the observer sinks,
 /// keyed by `id` — configurations no longer carry cursors.
+///
+/// The state is boxed: it is well over a kilobyte, and every step pops
+/// the stepped configuration off the worklist and pushes it back (the
+/// min-pc partition moves every live one), so the worklist moves a
+/// pointer instead. Only a fork, which clones the state anyway, pays
+/// for a box.
 struct Config {
     id: ConfigId,
     pc: u32,
-    state: crate::state::AbsState,
+    state: Box<AbsState>,
 }
 
 /// Everything the run knows about one decoded instruction start: the
-/// decoded instruction, its cached fetch set (the same
-/// `ValueSet::constant(pc)` every visit would otherwise rebuild), its
-/// read/write footprint, and its transfer memo.
+/// decoded instruction, its read/write footprint, and its transfer memo.
+/// Fetches need nothing from the slot: the fetch event carries the bare
+/// pc, and each sink projects it directly.
 pub(crate) struct Slot {
     decoded: (Inst, u32),
-    fetch: ValueSet,
     rw: RwSets,
     ways: WaySet,
     /// Consecutive keyed misses with no hit. Once it reaches
@@ -99,9 +103,8 @@ pub(crate) struct Slot {
 const COLD_CAP: u8 = 12;
 
 impl Slot {
-    fn new(pc: u32, decoded: (Inst, u32)) -> Self {
+    fn new(decoded: (Inst, u32)) -> Self {
         Slot {
-            fetch: ValueSet::constant(u64::from(pc), 32),
             rw: rw_sets(&decoded.0),
             decoded,
             ways: WaySet::default(),
@@ -170,8 +173,8 @@ impl DecodeCache {
     }
 
     /// `locate`, also updating the hot-segment hint. The step loop's
-    /// single resolution point: everything downstream (fetch event,
-    /// decode, memo probe, memo store) indexes directly via the returned
+    /// single resolution point: everything downstream (decode, memo
+    /// probe, memo store) indexes directly via the returned
     /// `(segment, offset)`.
     fn locate_hot(&mut self, pc: u32) -> Option<(usize, usize)> {
         let loc = self.locate(pc);
@@ -193,7 +196,7 @@ impl DecodeCache {
         let slot = &mut self.segments[seg].1[off];
         if slot.is_none() {
             let decoded = program.decode_at(pc)?;
-            *slot = Some(Box::new(Slot::new(pc, decoded)));
+            *slot = Some(Box::new(Slot::new(decoded)));
         }
         Ok(slot.as_deref_mut())
     }
@@ -203,13 +206,6 @@ impl DecodeCache {
     fn existing_slot(&mut self, pc: u32) -> Option<&mut Slot> {
         let (seg, off) = self.locate_hot(pc)?;
         self.segments[seg].1[off].as_deref_mut()
-    }
-
-    /// The cached fetch set for `pc` (populated slots only).
-    #[cfg(test)]
-    fn cached_fetch(&self, pc: u32) -> Option<ValueSet> {
-        let (seg, off) = self.locate(pc)?;
-        self.segments[seg].1[off].as_ref().map(|s| s.fetch.clone())
     }
 
     /// Cached decode. `drive` resolves full slots via `slot_at`; this
@@ -243,7 +239,7 @@ pub(crate) fn drive(
     let mut configs = vec![Config {
         id: ConfigId::ROOT,
         pc: program.entry(),
-        state: init.state.clone(),
+        state: Box::new(init.state.clone()),
     }];
     // Resource accounting: `steps` counts abstractly executed
     // instructions against both the analyzer's own divergence guard
@@ -300,7 +296,7 @@ pub(crate) fn drive(
             );
             let mut current = group.pop().unwrap();
             for other in group.drain(..) {
-                current.state = current.state.join(&other.state);
+                *current.state = current.state.join(&other.state);
                 bus.emit(TraceEvent::Merge {
                     into: current.id,
                     from: other.id,
@@ -329,37 +325,28 @@ pub(crate) fn drive(
             }
         }
 
-        // One location resolution per step: the fetch event, the
-        // decode, the memo probe, and the memo store all share it, so the
-        // segment scan runs once per step instead of once per concern.
+        // One location resolution per step: the decode, the memo probe,
+        // and the memo store all share it, so the segment scan runs once
+        // per step instead of once per concern.
         let pc = current.pc;
         let loc = decode.locate_hot(pc);
 
         steps += 1;
 
-        // Resolve the decode slot, emitting the instruction-fetch event
-        // (visible to I-cache and shared observers) *before* any decode
-        // error can surface — matching the naive path's event/error
-        // order. The fetch set is the cached per-pc constant once the
-        // slot exists, a fresh set otherwise (identical contents).
+        // The instruction-fetch event (visible to I-cache and shared
+        // observers) goes out *before* any decode error can surface —
+        // matching the naive path's event/error order.
+        bus.emit(TraceEvent::Fetch {
+            config: current.id,
+            pc,
+        });
+
         let resolved = match loc {
             Some((seg, off)) => {
                 let slot_ref = &mut decode.segments[seg].1[off];
-                match slot_ref.as_deref() {
-                    Some(slot) => bus.emit(TraceEvent::access(
-                        current.id,
-                        AccessKind::Fetch,
-                        slot.fetch.clone(),
-                    )),
-                    None => {
-                        bus.emit(TraceEvent::access(
-                            current.id,
-                            AccessKind::Fetch,
-                            ValueSet::constant(u64::from(pc), 32),
-                        ));
-                        let decoded = program.decode_at(pc)?;
-                        *slot_ref = Some(Box::new(Slot::new(pc, decoded)));
-                    }
+                if slot_ref.is_none() {
+                    let decoded = program.decode_at(pc)?;
+                    *slot_ref = Some(Box::new(Slot::new(decoded)));
                 }
                 let slot = slot_ref.as_deref_mut().expect("populated above");
                 let (inst, len) = slot.decoded;
@@ -397,16 +384,8 @@ pub(crate) fn drive(
                 }
                 Some((inst, len, rw, hit, primed, vacant))
             }
-            None => {
-                // Outside every segment: fresh fetch set, uncached
-                // decode below.
-                bus.emit(TraceEvent::access(
-                    current.id,
-                    AccessKind::Fetch,
-                    ValueSet::constant(u64::from(pc), 32),
-                ));
-                None
-            }
+            // Outside every segment: uncached decode below.
+            None => None,
         };
 
         let (next, len) = match resolved {
@@ -415,7 +394,7 @@ pub(crate) fn drive(
                 stats.transfer_hits += 1;
                 effect.apply(&mut table, &mut current.state);
                 for a in &effect.accesses {
-                    bus.emit(TraceEvent::access(current.id, AccessKind::Data, a.clone()));
+                    bus.emit(TraceEvent::access(current.id, a.clone()));
                 }
                 (effect.next.clone(), len)
             }
@@ -490,7 +469,7 @@ pub(crate) fn drive(
                 };
                 // Data accesses: visible to D-cache and shared observers.
                 for addr in effect.data_accesses {
-                    bus.emit(TraceEvent::access(current.id, AccessKind::Data, addr));
+                    bus.emit(TraceEvent::access(current.id, addr));
                 }
                 (effect.next, len)
             }
@@ -501,7 +480,7 @@ pub(crate) fn drive(
                 let effect =
                     execute_decoded(&mut table, &mut current.state, program, pc, inst, len)?;
                 for addr in effect.data_accesses {
-                    bus.emit(TraceEvent::access(current.id, AccessKind::Data, addr));
+                    bus.emit(TraceEvent::access(current.id, addr));
                 }
                 (effect.next, len)
             }
@@ -612,7 +591,7 @@ mod tests {
     }
 
     #[test]
-    fn populated_slots_cache_fetch_sets_and_footprints() {
+    fn populated_slots_cache_footprints() {
         let program = split_program();
         let mut cache = DecodeCache::new(&program);
         let entry = program.entry();
@@ -620,10 +599,7 @@ mod tests {
             cache.existing_slot(entry).is_none(),
             "no slot before first decode"
         );
-        assert!(cache.cached_fetch(entry).is_none());
         cache.decode_at(&program, entry).expect("entry decodes");
-        let fetch = cache.cached_fetch(entry).expect("slot populated");
-        assert_eq!(fetch, ValueSet::constant(u64::from(entry), 32));
         let slot = cache.existing_slot(entry).expect("slot populated");
         // `mov edx, 0` writes edx, reads nothing.
         assert_eq!(slot.rw.writes, 1 << Reg::Edx.code());

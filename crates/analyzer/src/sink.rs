@@ -19,25 +19,28 @@
 //! Each sink implements the per-observer protocol of §6.4 verbatim:
 //! `Fork` duplicates a frontier cursor ([`TraceDag::clone_cursor`]),
 //! `Merge` applies the delayed ε-join ([`TraceDag::merge_cursors`]),
-//! `Access` is the update rule (projection at update time), and `Retire`
-//! folds a halted path into the final frontier. The final count per sink
-//! is `cnt^π(v)` of Theorem 1 / Proposition 2; because every sink sees
-//! the events of *every* abstract path in the order the scheduler
-//! produced them, the per-sink replay is observationally identical to
-//! the old engine that threaded one `Vec<Option<Cursor>>` through every
-//! configuration — bit-for-bit, as the batch-consistency suite checks.
-//! Every access event goes through that update rule: the only shortcut
-//! on the sink side is the per-class projection map of [`DagSink`].
+//! `Fetch` and `Access` are the update rule (projection at update time),
+//! and `Retire` folds a halted path into the final frontier. The final
+//! count per sink is `cnt^π(v)` of Theorem 1 / Proposition 2; because
+//! every sink sees the events of *every* abstract path in the order the
+//! scheduler produced them, the per-sink replay is observationally
+//! identical to the old engine that threaded one `Vec<Option<Cursor>>`
+//! through every configuration — bit-for-bit, as the batch-consistency
+//! suite checks.
+//! Every fetch and access event goes through that update rule: the only
+//! shortcuts on the sink side are the direct projection of fetch pcs and
+//! singleton address sets, and the per-class projection map of
+//! [`DagSink`].
 
 use std::collections::HashMap;
 use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use leakaudit_core::{Cursor, FxBuildHasher, MemoKey, ObsSet, TraceDag, ValueSet};
+use leakaudit_core::{Cursor, FxBuildHasher, MaskedSymbol, MemoKey, ObsSet, TraceDag, ValueSet};
 use leakaudit_mpi::Natural;
 
-use crate::report::{Channel, LeakRow, ObserverSpec, PhaseTimings};
+use crate::report::{LeakRow, ObserverSpec, PhaseTimings};
 
 /// Identifier of one live configuration (abstract execution path).
 ///
@@ -62,33 +65,14 @@ impl ConfigId {
     }
 }
 
-/// Which kind of memory access an [`TraceEvent::Access`] describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessKind {
-    /// An instruction fetch (visible to I-cache and shared observers).
-    Fetch,
-    /// A data access (visible to D-cache and shared observers).
-    Data,
-}
-
-impl AccessKind {
-    /// Whether an observer watching `channel` sees this access.
-    pub fn visible_to(self, channel: Channel) -> bool {
-        match channel {
-            Channel::Instruction => self == AccessKind::Fetch,
-            Channel::Data => self == AccessKind::Data,
-            Channel::Shared => true,
-        }
-    }
-}
-
 /// One scheduler action relevant to trace bookkeeping, in the exact
 /// order the abstract interpretation performed it.
 ///
-/// `Access` dwarfs the bookkeeping variants (it carries the address set
-/// inline), but it is also the overwhelming majority of the stream —
-/// boxing it to shrink the enum would buy nothing and cost a heap
-/// allocation per access on the hottest path.
+/// Fetches, most of the stream, carry only the pc: a fetch address is
+/// always that one constant, so the sinks project it directly and no
+/// address set is built, moved or keyed for it. `Access` carries its
+/// address set inline and dwarfs the other variants; boxing it would
+/// cost a heap allocation per data access on the hot path.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
@@ -108,12 +92,19 @@ pub enum TraceEvent {
         /// The configuration dissolved into it.
         from: ConfigId,
     },
-    /// A memory access with the given set of possible addresses.
+    /// An instruction fetch at `pc` (visible to I-cache and shared
+    /// observers).
+    Fetch {
+        /// The configuration fetching.
+        config: ConfigId,
+        /// The fetched instruction's address.
+        pc: u32,
+    },
+    /// A data access with the given set of possible addresses (visible
+    /// to D-cache and shared observers).
     Access {
         /// The configuration performing the access.
         config: ConfigId,
-        /// Fetch or data.
-        kind: AccessKind,
         /// The abstract address set. Its [`MemoKey`] is *not* carried in
         /// the event — inline keys would double the event size and every
         /// event is moved through buffers on the hot path; the consuming
@@ -130,12 +121,8 @@ pub enum TraceEvent {
 
 impl TraceEvent {
     /// Builds an [`TraceEvent::Access`].
-    pub fn access(config: ConfigId, kind: AccessKind, addresses: ValueSet) -> Self {
-        TraceEvent::Access {
-            config,
-            kind,
-            addresses,
-        }
+    pub fn access(config: ConfigId, addresses: ValueSet) -> Self {
+        TraceEvent::Access { config, addresses }
     }
 }
 
@@ -333,10 +320,8 @@ impl DagSink {
         DagSink {
             lanes: specs.iter().map(|&s| Lane::new(s, initial)).collect(),
             sees: (
-                specs
-                    .iter()
-                    .any(|s| AccessKind::Fetch.visible_to(s.channel)),
-                specs.iter().any(|s| AccessKind::Data.visible_to(s.channel)),
+                specs.iter().any(|s| s.channel.sees_fetches()),
+                specs.iter().any(|s| s.channel.sees_data()),
             ),
             proj: HashMap::default(),
         }
@@ -360,23 +345,28 @@ impl ObserverSink for DagSink {
                     lane.merge(*into, *from);
                 }
             }
-            TraceEvent::Access {
-                config,
-                kind,
-                addresses,
-            } => {
-                // The projection is resolved once per class; all lanes
-                // project identically, so lane 0's observer stands in
-                // for the class. A singleton projects in place (no
-                // heap); a multi-element set is *borrowed* out of the
-                // projection map for the lane fan-out — cloning it per
-                // event would put an allocation on the hottest path.
-                // Visibility is a per-lane channel filter.
-                let visible = match kind {
-                    AccessKind::Fetch => self.sees.0,
-                    AccessKind::Data => self.sees.1,
-                };
-                if !visible {
+            // The projection is resolved once per class; all lanes
+            // project identically, so lane 0's observer stands in for
+            // the class. Visibility is a per-lane channel filter.
+            TraceEvent::Fetch { config, pc } => {
+                if !self.sees.0 {
+                    return;
+                }
+                let observer = self.lanes[0].dag.observer();
+                let obs =
+                    ObsSet::one(observer.project(&MaskedSymbol::constant(u64::from(*pc), 32)));
+                for lane in &mut self.lanes {
+                    if lane.spec.channel.sees_fetches() {
+                        lane.access(*config, &obs);
+                    }
+                }
+            }
+            TraceEvent::Access { config, addresses } => {
+                // A singleton projects in place (no heap); a
+                // multi-element set is *borrowed* out of the projection
+                // map for the lane fan-out — cloning it per event would
+                // put an allocation on the hot path.
+                if !self.sees.1 {
                     return;
                 }
                 let observer = self.lanes[0].dag.observer();
@@ -392,7 +382,7 @@ impl ObserverSink for DagSink {
                         .or_insert_with(|| observer.project_set(addresses)),
                 };
                 for lane in &mut self.lanes {
-                    if kind.visible_to(lane.spec.channel) {
+                    if lane.spec.channel.sees_data() {
                         lane.access(*config, obs);
                     }
                 }
@@ -505,7 +495,7 @@ pub fn run_pipeline_with<E>(
 ) -> Result<(Vec<LeakRow>, PhaseTimings), E> {
     // With too few hardware threads the consumer threads cannot overlap
     // with the scheduler; the channel traffic would be pure overhead.
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let cores = host_cores();
     let parallel = parallel && cores >= tuning.min_cores;
     if sinks.len() <= 1 || !parallel {
         // Chunked even in serial mode: buffering `chunk` events and
@@ -540,6 +530,14 @@ pub fn run_pipeline_with<E>(
         let (chunk, queue) = tuning.resolve(cores);
         run_threaded(sinks, chunk, queue, drive)
     }
+}
+
+/// The host's hardware thread count, probed once per process: the probe
+/// reads cgroup files on Linux, and a sweep runs dozens of passes.
+fn host_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES
+        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
 }
 
 /// Serial fallback: events are buffered and applied to every sink in
@@ -685,35 +683,31 @@ impl EventBus for ChannelBus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::Channel;
     use leakaudit_core::Observer;
-
-    fn consts(vals: &[u64]) -> ValueSet {
-        ValueSet::from_constants(vals.iter().copied(), 32)
-    }
 
     /// The Ex. 9 protocol (fork, diverge, merge, continue) through the
     /// event-stream interface, for both pipeline modes.
     fn example9_events(bus: &mut dyn EventBus) -> Result<(), std::convert::Infallible> {
         let (main, taken) = (ConfigId(0), ConfigId(1));
-        for pc in [0x41a90u64, 0x41a97, 0x41a99] {
-            bus.emit(TraceEvent::access(main, AccessKind::Fetch, consts(&[pc])));
+        for pc in [0x41a90, 0x41a97, 0x41a99] {
+            bus.emit(TraceEvent::Fetch { config: main, pc });
         }
         bus.emit(TraceEvent::Fork {
             parent: main,
             child: taken,
         });
-        for pc in [0x41a9bu64, 0x41a9d, 0x41a9f] {
-            bus.emit(TraceEvent::access(main, AccessKind::Fetch, consts(&[pc])));
+        for pc in [0x41a9b, 0x41a9d, 0x41a9f] {
+            bus.emit(TraceEvent::Fetch { config: main, pc });
         }
         bus.emit(TraceEvent::Merge {
             into: main,
             from: taken,
         });
-        bus.emit(TraceEvent::access(
-            main,
-            AccessKind::Fetch,
-            consts(&[0x41aa1]),
-        ));
+        bus.emit(TraceEvent::Fetch {
+            config: main,
+            pc: 0x41aa1,
+        });
         bus.emit(TraceEvent::Retire { config: main });
         Ok(())
     }
@@ -881,8 +875,7 @@ mod tests {
         let err = run_pipeline(sinks, true, |bus| {
             bus.emit(TraceEvent::access(
                 ConfigId(0),
-                AccessKind::Data,
-                consts(&[0x10]),
+                ValueSet::constant(0x10, 32),
             ));
             Err("boom")
         })

@@ -732,15 +732,7 @@ fn every_budget_boundary_is_exact_on_the_memoized_loop() {
     let (naive_events, naive_out) = interpret(&config(false, None), &input);
     let total = naive_events
         .iter()
-        .filter(|e| {
-            matches!(
-                e,
-                TraceEvent::Access {
-                    kind: leakaudit_analyzer::sink::AccessKind::Fetch,
-                    ..
-                }
-            )
-        })
+        .filter(|e| matches!(e, TraceEvent::Fetch { .. }))
         .count() as u64;
     assert!(total > 100, "the loop runs long enough to cross memo hits");
     let stats = naive_out.expect("memoized loop converges");

@@ -17,7 +17,7 @@
 use std::collections::HashMap;
 
 use leakaudit_analyzer::sink::{
-    run_pipeline_with, AccessKind, ConfigId, DagSink, ObserverSink, SinkTuning, TraceEvent,
+    run_pipeline_with, ConfigId, DagSink, ObserverSink, SinkTuning, TraceEvent,
 };
 use leakaudit_analyzer::{Channel, LeakRow, ObserverSpec};
 use leakaudit_core::{Cursor, Observer, TraceDag, ValueSet};
@@ -40,6 +40,10 @@ fn suite() -> Vec<ObserverSpec> {
         spec(Channel::Shared, Observer::block(2).stuttering()),
     ]
 }
+
+/// The fetch pcs: the pool's constant entries. Fetches are always a
+/// single constant address, so they draw only from these.
+const FETCH_PCS: [u32; 3] = [0x1000, 0x1040, 0x2000];
 
 /// A small fixed pool of address sets, built once per stream so that
 /// cloned entries share [`leakaudit_core::MemoKey`] identity — repeats
@@ -111,14 +115,16 @@ fn build_events(ops: &[RawOp]) -> Vec<TraceEvent> {
                     continue;
                 }
                 let id = ConfigId::from_raw(live[cfg as usize % live.len()]);
-                let kind = if fetch {
-                    AccessKind::Fetch
+                let event = if fetch {
+                    TraceEvent::Fetch {
+                        config: id,
+                        pc: FETCH_PCS[addr as usize % FETCH_PCS.len()],
+                    }
                 } else {
-                    AccessKind::Data
+                    TraceEvent::access(id, pool[addr as usize % pool.len()].clone())
                 };
-                let set = &pool[addr as usize % pool.len()];
                 for _ in 0..=reps {
-                    events.push(TraceEvent::access(id, kind, set.clone()));
+                    events.push(event.clone());
                 }
             }
             RawOp::Fork { parent } => {
@@ -196,17 +202,14 @@ impl Naive {
 
     fn absorb(&mut self, event: &TraceEvent) {
         match event {
-            TraceEvent::Access {
-                config,
-                kind,
-                addresses,
-                ..
-            } => {
-                if kind.visible_to(self.channel) {
-                    let obs = self.observer.project_set(addresses);
-                    let cur = self.cursors.remove(config).expect("live cursor");
-                    let cur = self.dag.update(cur, &obs);
-                    self.cursors.insert(*config, cur);
+            TraceEvent::Fetch { config, pc } => {
+                if self.channel.sees_fetches() {
+                    self.update(*config, &ValueSet::constant(u64::from(*pc), 32));
+                }
+            }
+            TraceEvent::Access { config, addresses } => {
+                if self.channel.sees_data() {
+                    self.update(*config, addresses);
                 }
             }
             TraceEvent::Fork { parent, child } => {
@@ -227,6 +230,13 @@ impl Naive {
                 });
             }
         }
+    }
+
+    fn update(&mut self, config: ConfigId, addresses: &ValueSet) {
+        let obs = self.observer.project_set(addresses);
+        let cur = self.cursors.remove(&config).expect("live cursor");
+        let cur = self.dag.update(cur, &obs);
+        self.cursors.insert(config, cur);
     }
 
     fn row(self) -> (Natural, f64) {
@@ -353,8 +363,11 @@ fn loop_heavy_stream_matches_naive_replay() {
     let side = ConfigId::from_raw(1);
     for round in 0..20u64 {
         for _ in 0..8 {
-            events.push(TraceEvent::access(root, AccessKind::Fetch, pool[0].clone()));
-            events.push(TraceEvent::access(root, AccessKind::Data, pool[3].clone()));
+            events.push(TraceEvent::Fetch {
+                config: root,
+                pc: FETCH_PCS[0],
+            });
+            events.push(TraceEvent::access(root, pool[3].clone()));
         }
         if round % 3 == 0 {
             events.push(TraceEvent::Fork {
@@ -363,7 +376,6 @@ fn loop_heavy_stream_matches_naive_replay() {
             });
             events.push(TraceEvent::access(
                 side,
-                AccessKind::Data,
                 pool[round as usize % pool.len()].clone(),
             ));
             events.push(TraceEvent::Merge {

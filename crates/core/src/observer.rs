@@ -8,7 +8,6 @@
 //! Each has a *stuttering* variant that cannot distinguish repeated accesses
 //! to the same unit.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use leakaudit_mpi::Natural;
@@ -249,21 +248,30 @@ impl fmt::Debug for Observation {
 /// already applied per the §6.4 implementation notes).
 ///
 /// Singleton sets (the overwhelmingly common label: an access whose unit
-/// is secret-independent) are stored inline; larger sets sit behind an
-/// [`Arc`](std::sync::Arc) so the DAG's label clones are refcount bumps.
-/// Construction canonicalizes — a one-element set is always the inline
-/// variant — so derived equality and ordering remain structural.
+/// is secret-independent) are stored inline; larger sets are a sorted,
+/// deduplicated slice behind an [`Arc`](std::sync::Arc), so the DAG's
+/// label clones are refcount bumps and label comparisons are slice
+/// comparisons. Construction canonicalizes — a one-element set is always
+/// the inline variant, and a larger one is always strictly ascending —
+/// so derived equality, ordering and hashing remain structural (and
+/// agree with a `BTreeSet` of the same elements, which also compares
+/// lexicographically over its sorted members).
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ObsSet {
     repr: ObsRepr,
 }
 
+/// Observations [`ObsSet::from_observations`] canonicalizes without a
+/// scratch heap buffer.
+const STACK_OBS: usize = 8;
+
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 enum ObsRepr {
     /// Exactly one possible observation, stored inline.
     One(Observation),
-    /// Zero or several possible observations (canonical: never one).
-    Many(std::sync::Arc<BTreeSet<Observation>>),
+    /// Zero or several possible observations (canonical: strictly
+    /// ascending, never one).
+    Many(std::sync::Arc<[Observation]>),
     /// Any of `2^bits` observations (projection of an unknown-high value).
     Top { bits: u8 },
 }
@@ -285,13 +293,42 @@ impl ObsSet {
 
     /// Collects observations, deduplicating (canonicalizes singletons to
     /// the inline variant).
+    ///
+    /// Up to eight observations are sorted in a stack buffer, so the usual
+    /// multi-element set (a projected small `ValueSet`) costs exactly one
+    /// allocation: the shared slice itself.
     pub fn from_observations(obs: impl IntoIterator<Item = Observation>) -> Self {
-        let set: BTreeSet<Observation> = obs.into_iter().collect();
-        if set.len() == 1 {
-            return ObsSet::one(*set.iter().next().expect("len checked"));
+        let mut obs = obs.into_iter();
+        let mut stack = [Observation::Concrete { bits: 0, width: 0 }; STACK_OBS];
+        let mut len = 0;
+        for o in obs.by_ref().take(STACK_OBS) {
+            stack[len] = o;
+            len += 1;
         }
-        ObsSet {
-            repr: ObsRepr::Many(std::sync::Arc::new(set)),
+        if len < STACK_OBS {
+            return ObsSet::canonical(&mut stack[..len]);
+        }
+        let mut heap = stack.to_vec();
+        heap.extend(obs);
+        ObsSet::canonical(&mut heap)
+    }
+
+    /// Sorts and deduplicates `buf` in place and wraps the distinct
+    /// prefix in its canonical representation.
+    fn canonical(buf: &mut [Observation]) -> Self {
+        buf.sort_unstable();
+        let mut distinct = 0;
+        for i in 0..buf.len() {
+            if distinct == 0 || buf[i] != buf[distinct - 1] {
+                buf[distinct] = buf[i];
+                distinct += 1;
+            }
+        }
+        match &buf[..distinct] {
+            [o] => ObsSet::one(*o),
+            set => ObsSet {
+                repr: ObsRepr::Many(set.into()),
+            },
         }
     }
 
@@ -353,6 +390,7 @@ mod tests {
     use super::*;
     use crate::mask::{Mask, MaskBit};
     use crate::sym::SymbolTable;
+    use std::collections::BTreeSet;
 
     #[test]
     fn example_1_bit_ranges() {
@@ -490,6 +528,76 @@ mod tests {
         assert_eq!(o.to_string(), format!("⟨{s}:⊤⊤⊤⊤1010⟩"));
         let c = project_range(&MaskedSymbol::constant(0xab, 8), 0, 8);
         assert_eq!(c.to_string(), "0xab");
+    }
+
+    /// The representation `ObsSet` had before its multi-element sets
+    /// became sorted slices: its derived order and equality are the
+    /// reference the slice-backed sets must reproduce.
+    #[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+    enum Reference {
+        One(Observation),
+        Many(BTreeSet<Observation>),
+    }
+
+    impl Reference {
+        fn new(obs: &[Observation]) -> Self {
+            let set: BTreeSet<Observation> = obs.iter().copied().collect();
+            match set.len() {
+                1 => Reference::One(*set.iter().next().expect("len checked")),
+                _ => Reference::Many(set),
+            }
+        }
+
+        fn set(&self) -> BTreeSet<Observation> {
+            match self {
+                Reference::One(o) => BTreeSet::from([*o]),
+                Reference::Many(s) => s.clone(),
+            }
+        }
+    }
+
+    /// Observations from small domains, so generated lists repeat
+    /// elements often and mix concrete and symbolic variants.
+    fn observation() -> impl proptest::strategy::Strategy<Value = Observation> {
+        use proptest::prelude::*;
+        (0u8..2, 0u32..3, 0u64..4, 0u64..4, 1u8..3).prop_map(|(kind, sym, known, value, width)| {
+            match kind {
+                0 => Observation::Concrete { bits: value, width },
+                _ => Observation::Symbolic {
+                    sym: SymId(sym),
+                    known,
+                    value,
+                    width,
+                },
+            }
+        })
+    }
+
+    proptest::proptest! {
+        /// `from_observations` canonicalizes arbitrary unsorted,
+        /// duplicate-laden lists exactly like a `BTreeSet`: same count,
+        /// same text, singleton iff one distinct element, and the same
+        /// order and equality between any two sets.
+        #[test]
+        fn obs_sets_are_canonical_like_a_btree_set(
+            a in proptest::collection::vec(observation(), 0..20),
+            b in proptest::collection::vec(observation(), 0..20),
+        ) {
+            let (set_a, set_b) = (
+                ObsSet::from_observations(a.iter().copied()),
+                ObsSet::from_observations(b.iter().copied()),
+            );
+            let (ref_a, ref_b) = (Reference::new(&a), Reference::new(&b));
+            for (set, reference) in [(&set_a, &ref_a), (&set_b, &ref_b)] {
+                let members = reference.set();
+                proptest::prop_assert_eq!(set.count_u64(), Some(members.len() as u64));
+                proptest::prop_assert_eq!(set.is_singleton(), members.len() == 1);
+                let text: Vec<String> = members.iter().map(ToString::to_string).collect();
+                proptest::prop_assert_eq!(set.to_string(), format!("{{{}}}", text.join(", ")));
+            }
+            proptest::prop_assert_eq!(set_a.cmp(&set_b), ref_a.cmp(&ref_b));
+            proptest::prop_assert_eq!(set_a == set_b, ref_a == ref_b);
+        }
     }
 
     #[test]

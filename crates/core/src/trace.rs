@@ -145,7 +145,9 @@ impl Preds {
 }
 
 /// An intermediate trace count: a `u128` while it fits, a [`Natural`]
-/// once it overflows (see [`TraceDag::count`]).
+/// once it overflows (see [`TraceDag::count`]). Big operands are used by
+/// reference: only the result (and a small operand's promotion)
+/// allocates.
 #[derive(Clone, Debug)]
 enum Cnt {
     Small(u128),
@@ -157,9 +159,12 @@ impl Cnt {
         match (self, other) {
             (Cnt::Small(a), Cnt::Small(b)) => match a.checked_add(*b) {
                 Some(s) => Cnt::Small(s),
-                None => Cnt::Big(natural_from_u128(*a) + natural_from_u128(*b)),
+                None => Cnt::Big(Natural::from(*a) + Natural::from(*b)),
             },
-            _ => Cnt::Big(self.to_natural() + other.to_natural()),
+            (Cnt::Big(a), Cnt::Big(b)) => Cnt::Big(a.add_ref(b)),
+            (Cnt::Big(a), Cnt::Small(b)) | (Cnt::Small(b), Cnt::Big(a)) => {
+                Cnt::Big(a.add_ref(&Natural::from(*b)))
+            }
         }
     }
 
@@ -167,9 +172,11 @@ impl Cnt {
         match (self, other) {
             (Cnt::Small(a), Cnt::Small(b)) => match a.checked_mul(*b) {
                 Some(p) => Cnt::Small(p),
-                None => Cnt::Big(&natural_from_u128(*a) * &natural_from_u128(*b)),
+                None => Cnt::Big(&Natural::from(*a) * &Natural::from(*b)),
             },
-            _ => Cnt::Big(&self.to_natural() * &other.to_natural()),
+            (Cnt::Big(a), Cnt::Big(b)) => Cnt::Big(a * b),
+            (Cnt::Big(a), Cnt::Small(b)) => Cnt::Big(a * &Natural::from(*b)),
+            (Cnt::Small(a), Cnt::Big(b)) => Cnt::Big(&Natural::from(*a) * b),
         }
     }
 
@@ -177,28 +184,12 @@ impl Cnt {
         self.mul(&Cnt::Small(u128::from(factor)))
     }
 
-    fn to_natural(&self) -> Natural {
-        match self {
-            Cnt::Small(n) => natural_from_u128(*n),
-            Cnt::Big(n) => n.clone(),
-        }
-    }
-
     fn into_natural(self) -> Natural {
         match self {
-            Cnt::Small(n) => natural_from_u128(n),
+            Cnt::Small(n) => Natural::from(n),
             Cnt::Big(n) => n,
         }
     }
-}
-
-fn natural_from_u128(n: u128) -> Natural {
-    Natural::from_limbs(vec![
-        n as u32,
-        (n >> 32) as u32,
-        (n >> 64) as u32,
-        (n >> 96) as u32,
-    ])
 }
 
 /// Outcome of matching one access against one frontier vertex (see
@@ -832,14 +823,11 @@ impl TraceDag {
                 continue;
             }
             let preds = v.preds.as_slice();
-            let preds_sum = if preds.is_empty() {
-                Cnt::Small(1)
-            } else {
-                let mut s = Cnt::Small(0);
-                for p in preds {
-                    s = s.add(&memo[p.index()]);
-                }
-                s
+            let preds_sum = match preds {
+                [] => Cnt::Small(1),
+                [first, rest @ ..] => rest
+                    .iter()
+                    .fold(memo[first.index()].clone(), |s, p| s.add(&memo[p.index()])),
             };
             let rep_factor = if self.observer.is_stuttering() {
                 1
@@ -1036,6 +1024,27 @@ mod tests {
             cur = dag.access(cur, &consts(&addrs));
         }
         assert_eq!(dag.leakage_bits(&cur), 1152.0);
+    }
+
+    #[test]
+    fn counts_past_u128_stay_exact() {
+        // One path of 130 two-way accesses (2^130 traces, past u128)
+        // joined with a path of three singleton accesses (1 trace): the
+        // chain crosses Small×Small overflow into Big×Small, and the
+        // final sum runs Small+Big and Big+Small.
+        let (mut dag, cur) = TraceDag::new(Observer::address());
+        let short = dag.clone_cursor(&cur);
+        let mut long = cur;
+        for k in 0..130u64 {
+            long = dag.access(long, &consts(&[0x1000 + 8 * k, 0x9000 + 8 * k]));
+        }
+        let mut short = short;
+        for pc in [0x10u64, 0x20, 0x30] {
+            short = dag.access(short, &consts(&[pc]));
+        }
+        let merged = dag.merge_cursors(long, short);
+        let want = &Natural::one().shl_bits(130) + &Natural::one();
+        assert_eq!(dag.count(&merged), want);
     }
 
     #[test]
