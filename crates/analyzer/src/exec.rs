@@ -2,8 +2,8 @@
 //! abstract state, yielding data-access address sets and control flow.
 
 use leakaudit_core::{
-    apply_set, map_set, mul, neg, not, shl, shr, AbstractBool, AbstractFlags, BinOp, OpResult,
-    SymbolTable, ValueSet,
+    apply_set, apply_set_flags, map_set, mul, neg, not, shl, shr, AbstractBool, AbstractFlags,
+    BinOp, OpResult, SymbolTable, ValueSet,
 };
 use leakaudit_x86::{AluOp, Cond, Inst, Mem, Operand, Program, Reg, ShiftOp};
 
@@ -633,7 +633,7 @@ impl Ctx<'_> {
         if let Some(log) = &mut self.log {
             log.mem_writes.push((addr.clone(), v.clone(), size));
         }
-        self.state.memory.write(&addr, v, size);
+        self.state.memory.write(&addr, v, size, self.program);
         self.accesses.push(addr);
     }
 
@@ -784,20 +784,22 @@ pub(crate) fn execute_logged(
                 AluOp::Or => BinOp::Or,
                 AluOp::Xor => BinOp::Xor,
             };
-            let (r, flags) = apply_set(ctx.table, bin, &a, &b);
-            ctx.state.flags.assign(flags);
             if op == AluOp::Cmp {
+                let flags = apply_set_flags(ctx.table, bin, &a, &b);
+                ctx.state.flags.assign(flags);
                 if let (Operand::Reg(reg), Some(c)) = (dst, b.as_constant()) {
                     install_flag_source(ctx.table, ctx.state, reg, c);
                 }
             } else {
+                let (r, flags) = apply_set(ctx.table, bin, &a, &b);
+                ctx.state.flags.assign(flags);
                 ctx.write_operand(&dst, r, 4);
             }
         }
         Inst::Test { a, b } => {
             let x = ctx.read_operand(&a, 4);
             let y = ctx.read_operand(&b, 4);
-            let (_, flags) = apply_set(ctx.table, BinOp::And, &x, &y);
+            let flags = apply_set_flags(ctx.table, BinOp::And, &x, &y);
             ctx.state.flags.assign(flags);
             // `test r, r` partitions r by zero/nonzero.
             if let (Operand::Reg(r1), Operand::Reg(r2)) = (a, b) {

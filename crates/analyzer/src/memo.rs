@@ -46,7 +46,7 @@
 use std::sync::Arc;
 
 use leakaudit_core::{AbstractBool, MemoKey, OffsetRecord, SymbolTable, ValueSet};
-use leakaudit_x86::Reg;
+use leakaudit_x86::{Program, Reg};
 
 use crate::exec::{Next, RwSets, FLAG_CF, FLAG_OF, FLAG_SF, FLAG_ZF};
 use crate::state::{AbsState, FlagsState};
@@ -203,7 +203,7 @@ impl TransferEffect {
     /// clearing), the flag overwrite comes after (it carries the final
     /// provenance when present), memory writes re-issue in order, and
     /// journal entries re-record (idempotently).
-    pub(crate) fn apply(&self, table: &mut SymbolTable, state: &mut AbsState) {
+    pub(crate) fn apply(&self, table: &mut SymbolTable, state: &mut AbsState, program: &Program) {
         for (r, v) in &self.reg_writes {
             state.set_reg(*r, v.clone());
         }
@@ -211,7 +211,7 @@ impl TransferEffect {
             state.flags = flags.clone();
         }
         for (addrs, v, size) in &self.mem_writes {
-            state.memory.write(addrs, v.clone(), *size);
+            state.memory.write(addrs, v.clone(), *size, program);
         }
         for (derived, origin, offset) in &self.journal {
             table.record_offset(*derived, *origin, *offset);

@@ -53,9 +53,10 @@ use crate::{AnalysisConfig, AnalysisError, BudgetLimit};
 use leakaudit_x86::Reg;
 
 /// How often (in abstract steps) the scheduler consults the wall clock
-/// for a budget deadline. A power of two so the check is a mask; at
-/// ~10⁷ abstract steps/s the deadline overshoots by well under a
-/// millisecond.
+/// for a budget deadline. A power of two so the check is a mask. A cold
+/// 45-cell sweep interprets 73.7k abstract steps in 30–45 ms (about
+/// 1.6–2.5 × 10⁶ steps/s on a 2-vCPU host), so 1,024 steps take
+/// ~0.4–0.6 ms: the deadline overshoots by up to about that much.
 const DEADLINE_CHECK_MASK: u64 = 0x3ff;
 
 /// One live configuration: a program point plus the abstract machine
@@ -296,7 +297,7 @@ pub(crate) fn drive(
             );
             let mut current = group.pop().unwrap();
             for other in group.drain(..) {
-                *current.state = current.state.join(&other.state);
+                *current.state = current.state.join(&other.state, program);
                 bus.emit(TraceEvent::Merge {
                     into: current.id,
                     from: other.id,
@@ -392,7 +393,7 @@ pub(crate) fn drive(
             Some((_inst, len, _rw, Some(effect), _primed, _vacant)) => {
                 // Transfer memo hit: replay the recorded effect.
                 stats.transfer_hits += 1;
-                effect.apply(&mut table, &mut current.state);
+                effect.apply(&mut table, &mut current.state, program);
                 for a in &effect.accesses {
                     bus.emit(TraceEvent::access(current.id, a.clone()));
                 }

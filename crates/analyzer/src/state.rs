@@ -114,6 +114,12 @@ impl CacheKeyed for FlagsState {
 /// addresses fall back to the program image (the data segments assembled
 /// into the binary), which models the initialized `.data` section.
 ///
+/// An absent constant address inside the image therefore means "the image
+/// bytes", not `Top`. A weak update there, or a join that has an entry on
+/// one side only, keeps an entry joined with the image bytes rather than
+/// dropping it, and an image read that shares a byte with a tracked entry
+/// at another address reads `Top`.
+///
 /// # Aliasing assumption
 ///
 /// Distinct symbolic base addresses are assumed not to alias each other or
@@ -210,43 +216,58 @@ impl AbstractMemory {
             }
             return ValueSet::top(addr.width());
         }
-        if let Some(base) = addr.as_constant() {
-            let bytes = program.bytes_at(base as u32, size as usize);
-            if bytes.len() == size as usize {
-                let mut v = 0u64;
-                for (i, b) in bytes.iter().enumerate() {
-                    v |= u64::from(*b) << (8 * i);
-                }
-                return ValueSet::constant(v, addr.width());
-            }
+        match image_under(addr, size, program) {
+            Some(image) if !self.overlaps_entry(addr, size) => image,
+            _ => ValueSet::top(addr.width()),
         }
-        ValueSet::top(addr.width())
+    }
+
+    /// `true` if a tracked entry at a constant address shares a byte with
+    /// the `size` bytes at constant address `addr`.
+    fn overlaps_entry(&self, addr: &MaskedSymbol, size: u8) -> bool {
+        let (base, width) = (addr.as_constant().expect("constant address"), addr.width());
+        let last = base + u64::from(size) - 1;
+        let lo = MaskedSymbol::constant(base.saturating_sub(MAX_ACCESS - 1), width);
+        let hi = MaskedSymbol::constant(last, width);
+        if hi < lo {
+            return true;
+        }
+        self.entries
+            .range(lo..=hi)
+            .any(|(a, (_, s))| a.as_constant().is_some_and(|a| a + u64::from(*s) > base))
     }
 
     /// Writes `value` (of `size` bytes) through a set of possible
     /// addresses: strong update for a unique address, weak update
     /// otherwise, full havoc for `Top`.
-    pub fn write(&mut self, addrs: &ValueSet, value: ValueSet, size: u8) {
+    pub fn write(&mut self, addrs: &ValueSet, value: ValueSet, size: u8, program: &Program) {
         if addrs.is_top() {
             self.havoc();
             return;
         }
-        self.stamp = fresh_stamp();
         if let Some(single) = addrs.as_singleton() {
-            Arc::make_mut(&mut self.entries).insert(single, (value, size));
+            self.store(single, value, size);
             return;
         }
+        self.stamp = fresh_stamp();
         for a in addrs.iter() {
-            if let Some((old, s)) = self.entries.get(a) {
-                let merged = if *s == size {
-                    old.join(&value)
-                } else {
-                    ValueSet::top(a.width())
-                };
-                Arc::make_mut(&mut self.entries).insert(*a, (merged, size));
-            }
-            // Absent entries stay absent: absent already means Top.
+            let merged = match self.entries.get(a) {
+                Some((old, s)) if *s == size => old.join(&value),
+                Some(_) => ValueSet::top(a.width()),
+                None => match image_under(a, size, program) {
+                    Some(image) => image.join(&value),
+                    // Absent stays absent: it already means Top.
+                    None => continue,
+                },
+            };
+            Arc::make_mut(&mut self.entries).insert(*a, (merged, size));
         }
+    }
+
+    /// Strong update of one address.
+    fn store(&mut self, addr: MaskedSymbol, value: ValueSet, size: u8) {
+        self.stamp = fresh_stamp();
+        Arc::make_mut(&mut self.entries).insert(addr, (value, size));
     }
 
     /// Forgets everything (a store through a completely unknown pointer).
@@ -256,8 +277,12 @@ impl AbstractMemory {
         self.stamp = fresh_stamp();
     }
 
-    /// Join: keep only entries present and mergeable in both memories.
-    pub fn join(&self, other: &AbstractMemory) -> AbstractMemory {
+    /// Join: entries present in both memories with one size merge. Any
+    /// other entry is dropped (absent means `Top`) unless its address is
+    /// constant and touches the program image, where absent means the
+    /// image bytes: a one-sided entry is then joined with them, and a
+    /// size conflict is kept as `Top`.
+    pub fn join(&self, other: &AbstractMemory, program: &Program) -> AbstractMemory {
         let havocked = self.havocked || other.havocked;
         // Both sides share the same map (fork that never wrote): reuse it.
         if Arc::ptr_eq(&self.entries, &other.entries) {
@@ -275,9 +300,20 @@ impl AbstractMemory {
         }
         let mut entries = BTreeMap::new();
         for (k, (v, s)) in self.entries.iter() {
-            if let Some((v2, s2)) = other.entries.get(k) {
-                if s == s2 {
-                    entries.insert(*k, (v.join(v2), *s));
+            let kept = match other.entries.get(k) {
+                Some((v2, s2)) if s == s2 => Some((v.join(v2), *s)),
+                Some((_, s2)) => image_under(k, *s.max(s2), program)
+                    .map(|_| (ValueSet::top(k.width()), *s.max(s2))),
+                None => image_under(k, *s, program).map(|image| (v.join(&image), *s)),
+            };
+            if let Some(entry) = kept {
+                entries.insert(*k, entry);
+            }
+        }
+        for (k, (v, s)) in other.entries.iter() {
+            if !self.entries.contains_key(k) {
+                if let Some(image) = image_under(k, *s, program) {
+                    entries.insert(*k, (v.join(&image), *s));
                 }
             }
         }
@@ -287,6 +323,28 @@ impl AbstractMemory {
             stamp: fresh_stamp(),
         }
     }
+}
+
+/// The widest access in bytes (one `u64` value).
+const MAX_ACCESS: u64 = 8;
+
+/// What an absent entry at `addr` reads as where it touches the program
+/// image: the image bytes when they cover all `size` bytes, `Top` when they
+/// cover some. `None` for symbolic addresses and addresses off the image,
+/// where absent simply means `Top`.
+fn image_under(addr: &MaskedSymbol, size: u8, program: &Program) -> Option<ValueSet> {
+    let base = addr.as_constant()?;
+    let bytes = program.bytes_at(base as u32, size as usize);
+    if bytes.len() == size as usize {
+        let v = bytes
+            .iter()
+            .enumerate()
+            .fold(0u64, |v, (i, b)| v | u64::from(*b) << (8 * i));
+        return Some(ValueSet::constant(v, addr.width()));
+    }
+    (0..u64::from(size))
+        .any(|i| program.byte_at((base + i) as u32).is_some())
+        .then(|| ValueSet::top(addr.width()))
 }
 
 impl CacheKeyed for AbstractMemory {
@@ -345,12 +403,13 @@ impl AbsState {
         self.regs[r as usize] = v;
     }
 
-    /// Pointwise join of two states.
-    pub fn join(&self, other: &AbsState) -> AbsState {
+    /// Pointwise join of two states (`program` supplies the image bytes
+    /// that absent constant memory addresses stand for).
+    pub fn join(&self, other: &AbsState, program: &Program) -> AbsState {
         AbsState {
             regs: std::array::from_fn(|i| self.regs[i].join(&other.regs[i])),
             flags: self.flags.join(&other.flags),
-            memory: self.memory.join(&other.memory),
+            memory: self.memory.join(&other.memory, program),
         }
     }
 }
@@ -429,9 +488,7 @@ impl InitState {
 
     /// Pre-populates one memory word (e.g. an argument on the stack).
     pub fn write_mem(&mut self, addr: MaskedSymbol, value: ValueSet) -> &mut Self {
-        self.state
-            .memory
-            .write(&ValueSet::singleton(addr), value, 4);
+        self.state.memory.store(addr, value, 4);
         self
     }
 }
@@ -485,11 +542,11 @@ mod tests {
         let mut mem = AbstractMemory::new();
         let a1 = ValueSet::constant(0x100, 32);
         let a2 = ValueSet::constant(0x104, 32);
-        mem.write(&a1, ValueSet::constant(1, 32), 4);
-        mem.write(&a2, ValueSet::constant(2, 32), 4);
+        mem.write(&a1, ValueSet::constant(1, 32), 4, &p);
+        mem.write(&a2, ValueSet::constant(2, 32), 4, &p);
         // Weak update through {0x100, 0x104}.
         let both = a1.join(&a2);
-        mem.write(&both, ValueSet::constant(9, 32), 4);
+        mem.write(&both, ValueSet::constant(9, 32), 4, &p);
         assert_eq!(mem.read(&a1, 4, &p), ValueSet::from_constants([1, 9], 32));
         assert_eq!(mem.read(&a2, 4, &p), ValueSet::from_constants([2, 9], 32));
     }
@@ -499,7 +556,7 @@ mod tests {
         let p = empty_program();
         let mut mem = AbstractMemory::new();
         let a = ValueSet::constant(0x100, 32);
-        mem.write(&a, ValueSet::constant(0xff, 32), 1);
+        mem.write(&a, ValueSet::constant(0xff, 32), 1, &p);
         assert!(mem.read(&a, 4, &p).is_top());
         assert_eq!(mem.read(&a, 1, &p).as_constant(), Some(0xff));
     }
@@ -512,7 +569,7 @@ mod tests {
         a.dd(&[42]);
         let p = a.assemble().unwrap();
         let mut mem = AbstractMemory::new();
-        mem.write(&ValueSet::top(32), ValueSet::constant(0, 32), 4);
+        mem.write(&ValueSet::top(32), ValueSet::constant(0, 32), 4, &p);
         assert!(mem.read(&ValueSet::constant(0x8000, 32), 4, &p).is_top());
     }
 
@@ -523,12 +580,59 @@ mod tests {
         let mut m2 = AbstractMemory::new();
         let a = ValueSet::constant(0x100, 32);
         let b = ValueSet::constant(0x200, 32);
-        m1.write(&a, ValueSet::constant(1, 32), 4);
-        m2.write(&a, ValueSet::constant(2, 32), 4);
-        m1.write(&b, ValueSet::constant(3, 32), 4);
-        let j = m1.join(&m2);
+        m1.write(&a, ValueSet::constant(1, 32), 4, &p);
+        m2.write(&a, ValueSet::constant(2, 32), 4, &p);
+        m1.write(&b, ValueSet::constant(3, 32), 4, &p);
+        let j = m1.join(&m2, &p);
         assert_eq!(j.read(&a, 4, &p), ValueSet::from_constants([1, 2], 32));
         assert!(j.read(&b, 4, &p).is_top(), "one-sided entries drop to Top");
+    }
+
+    /// A program whose image holds zeros at 0x8000..0x8008.
+    fn zeroed_image() -> Program {
+        let mut a = Asm::new(0x1000);
+        a.hlt();
+        a.section_at(0x8000);
+        a.dd(&[0, 0]);
+        a.assemble().unwrap()
+    }
+
+    #[test]
+    fn weak_update_over_the_image_keeps_the_image_bytes() {
+        let p = zeroed_image();
+        let mut mem = AbstractMemory::new();
+        let both = ValueSet::from_constants([0x8000, 0x8004], 32);
+        mem.write(&both, ValueSet::constant(5, 32), 4, &p);
+        let read = mem.read(&ValueSet::constant(0x8000, 32), 4, &p);
+        assert_eq!(read, ValueSet::from_constants([0, 5], 32));
+    }
+
+    #[test]
+    fn one_sided_join_over_the_image_keeps_the_image_bytes() {
+        let p = zeroed_image();
+        let mut m1 = AbstractMemory::new();
+        let m2 = AbstractMemory::new();
+        let a = ValueSet::constant(0x8000, 32);
+        m1.write(&a, ValueSet::constant(7, 32), 4, &p);
+        let expect = ValueSet::from_constants([0, 7], 32);
+        assert_eq!(m1.join(&m2, &p).read(&a, 4, &p), expect);
+        assert_eq!(m2.join(&m1, &p).read(&a, 4, &p), expect);
+    }
+
+    #[test]
+    fn partial_store_hides_the_image_word() {
+        let p = zeroed_image();
+        let mut mem = AbstractMemory::new();
+        mem.write(
+            &ValueSet::constant(0x8001, 32),
+            ValueSet::constant(0xff, 32),
+            1,
+            &p,
+        );
+        assert!(mem.read(&ValueSet::constant(0x8000, 32), 4, &p).is_top());
+        // Bytes the store did not touch still read from the image.
+        let after = mem.read(&ValueSet::constant(0x8002, 32), 2, &p);
+        assert_eq!(after.as_constant(), Some(0));
     }
 
     #[test]
@@ -539,7 +643,7 @@ mod tests {
         s2.set_reg(Reg::Eax, ValueSet::constant(2, 32));
         s1.flags.zf = AbstractBool::True;
         s2.flags.zf = AbstractBool::False;
-        let j = s1.join(&s2);
+        let j = s1.join(&s2, &empty_program());
         assert_eq!(*j.reg(Reg::Eax), ValueSet::from_constants([1, 2], 32));
         assert_eq!(j.flags.zf, AbstractBool::Top);
         assert_eq!(j.reg(Reg::Esp).as_constant(), Some(0x00f0_0000));
@@ -552,7 +656,7 @@ mod tests {
         let buf = init.fresh_heap_pointer("buf");
         let other = init.fresh_heap_pointer("other");
         let mut mem = AbstractMemory::new();
-        mem.write(&ValueSet::singleton(buf), ValueSet::constant(7, 32), 4);
+        mem.write(&ValueSet::singleton(buf), ValueSet::constant(7, 32), 4, &p);
         assert_eq!(
             mem.read(&ValueSet::singleton(buf), 4, &p).as_constant(),
             Some(7)

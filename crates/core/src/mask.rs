@@ -98,6 +98,22 @@ impl Mask {
         }
     }
 
+    /// A mask from its word form: bit `i` of `known` marks position `i`
+    /// known, with value bit `i` of `values`. Bits above `width`, and value
+    /// bits at unknown positions, are ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is 0 or exceeds 64.
+    pub fn from_words(width: u8, known: u64, values: u64) -> Self {
+        let known = known & Mask::top(width).width_mask();
+        Mask {
+            width,
+            known,
+            value: values & known,
+        }
+    }
+
     /// Builds a mask from explicit per-bit values, least significant first.
     ///
     /// # Panics
@@ -178,12 +194,22 @@ impl Mask {
 
     /// Returns a copy whose `count` least-significant bits are known and
     /// equal to the low bits of `values`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count` exceeds the width.
     pub fn with_low_bits_known(&self, count: u8, values: u64) -> Mask {
-        let mut m = *self;
-        for i in 0..count {
-            m = m.with_bit(i, MaskBit::from_bool(values >> i & 1 == 1));
-        }
-        m
+        assert!(count <= self.width, "bit index out of range");
+        let low = if count == 0 {
+            0
+        } else {
+            u64::MAX >> (64 - count)
+        };
+        Mask::from_words(
+            self.width,
+            self.known | low,
+            (self.value & !low) | (values & low),
+        )
     }
 
     /// `true` iff every bit is known (the mask denotes a single bitvector).

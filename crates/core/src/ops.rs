@@ -20,6 +20,13 @@
 //! fresh-symbol fallback keeps the operation sound by the argument of
 //! Lemma 1: the valuation of the fresh symbol can always be chosen to make
 //! the concretization match.
+//!
+//! The bit algebra is the specification and the general path. The shapes
+//! the interpreter meets most — constant folding and adding a constant to
+//! a pointer whose carries stay out of its symbolic bits — are computed
+//! with `u64` word operations instead, in the manner of tristate-number
+//! arithmetic (known bits plus values, carries from `r ^ a ^ b`); the
+//! tests check them against the bit algebra.
 
 use crate::mask::{Mask, MaskBit};
 use crate::msym::MaskedSymbol;
@@ -298,6 +305,21 @@ fn zf_of(bits: &[BitVal]) -> AbstractBool {
 /// Applies an abstract binary operation (paper §5.4.1), including the
 /// origin/offset bookkeeping of §5.4.2 and flag derivation of §5.4.3.
 ///
+/// Before the general per-bit algebra, in order:
+///
+/// * two constants fold concretely ([`BinOp::eval_concrete`] with exact
+///   x86 flags, as the bit algebra would derive them);
+/// * `SUB` of two values with a common origin is their offset distance
+///   (§5.4.2; the bit algebra alone cannot see this);
+/// * `ADD`/`SUB` of a constant to a symbolic value runs in `u64` words
+///   and returns exactly what the bit algebra would, whenever the carry
+///   chain leaves the symbolic bits in one of the two shapes described at
+///   [`add_constant`] — pointer increments in loop bodies are this shape.
+///
+/// Everything else (symbolic × symbolic, `AND`/`OR`/`XOR` with a
+/// symbolic operand, a carry into a symbolic bit below a known one) runs
+/// the per-bit [`BitVal`] loop of [`apply_bits`].
+///
 /// # Panics
 ///
 /// Panics if the operands have different widths.
@@ -325,94 +347,171 @@ fn zf_of(bits: &[BitVal]) -> AbstractBool {
 /// ```
 pub fn apply(table: &mut SymbolTable, op: BinOp, x: &MaskedSymbol, y: &MaskedSymbol) -> OpResult {
     assert_eq!(x.width(), y.width(), "operand widths must match");
-    let width = x.width();
-
-    // Fast path: two fully-known operands fold concretely, with exact
-    // flags — identical to what the bit algebra below derives (every
-    // result and carry bit comes out `Const`), minus the per-bit loop.
-    // Counted loops (`inc`/`cmp` on concrete counters) live here.
     if let (Some(a), Some(b)) = (x.as_constant(), y.as_constant()) {
-        return apply_concrete(op, a, b, width);
+        return apply_concrete(op, a, b, x.width());
     }
-
-    // Fast path (§5.4.2 applied to SUB): operands with a common origin
-    // subtract to the concrete offset difference.
-    if op == BinOp::Sub {
-        if let Some(delta) = table.offset_between(x, y, width) {
-            if !(x.is_constant() && y.is_constant()) {
-                let value = MaskedSymbol::constant(delta, width);
-                let flags = AbstractFlags {
-                    zf: AbstractBool::from_bool(delta == 0),
-                    sf: AbstractBool::from_bool(delta >> (width - 1) & 1 == 1),
-                    // Borrow depends on where the unknown base wraps.
-                    cf: AbstractBool::Top,
-                    of: AbstractBool::Top,
-                };
-                return OpResult { value, flags };
-            }
-        }
+    if let Some(r) = common_origin_sub(table, op, x, y) {
+        return r;
     }
+    if let Some(r) = add_constant(table, op, x, y) {
+        return r;
+    }
+    apply_bits(table, op, x, y)
+}
 
-    // Fast path: adding or subtracting a nonzero constant to a value
-    // with *no* known bits. The bit algebra below degenerates fully:
-    // the low result bits up to the constant's lowest set bit stay
-    // tracked but non-constant, everything above collapses to `Top`, so
-    // the result is a fresh (or successor-memoized) symbol with an
-    // all-`Top` mask and all-`Top` flags — except the `Sub` ZF rule of
-    // §5.4.3, which resolves against a same-origin constant operand.
-    // Pointer increments in loop bodies are exactly this shape, and the
-    // 2·width `BitVal` evaluations they skip dominate interpreter time.
-    if matches!(op, BinOp::Add | BinOp::Sub) {
-        let (base, constant) = if y.is_constant() {
-            (x, y.as_constant())
-        } else if x.is_constant() && op == BinOp::Add {
-            (y, x.as_constant())
+/// §5.4.2 applied to `SUB`: operands with a common origin subtract to the
+/// concrete offset difference. `None` when the rule does not apply.
+fn common_origin_sub(
+    table: &SymbolTable,
+    op: BinOp,
+    x: &MaskedSymbol,
+    y: &MaskedSymbol,
+) -> Option<OpResult> {
+    if op != BinOp::Sub || (x.is_constant() && y.is_constant()) {
+        return None;
+    }
+    let width = x.width();
+    let delta = table.offset_between(x, y, width)?;
+    Some(OpResult {
+        value: MaskedSymbol::constant(delta, width),
+        flags: AbstractFlags {
+            zf: AbstractBool::from_bool(delta == 0),
+            sf: AbstractBool::from_bool(delta >> (width - 1) & 1 == 1),
+            // Borrow depends on where the unknown base wraps.
+            cf: AbstractBool::Top,
+            of: AbstractBool::Top,
+        },
+    })
+}
+
+/// The symbolic base and the constant `c` of an `ADD`/`SUB` with one
+/// constant operand, plus the offset `delta` it adds to the base (`c - x`
+/// has none: it negates `x`).
+fn constant_operand<'a>(
+    op: BinOp,
+    x: &'a MaskedSymbol,
+    y: &'a MaskedSymbol,
+) -> Option<(&'a MaskedSymbol, u64, u64)> {
+    let (base, c) = match (op, x.as_constant(), y.as_constant()) {
+        (BinOp::Add | BinOp::Sub, None, Some(c)) => (x, c),
+        (BinOp::Add, Some(c), None) => (y, c),
+        _ => return None,
+    };
+    let delta = match op {
+        BinOp::Sub => c.wrapping_neg() & base.mask().width_mask(),
+        _ => c,
+    };
+    Some((base, c, delta))
+}
+
+/// Offset tracking (§5.4.2) for `base + delta`: derivations of one
+/// (origin, offset) are memoized so they yield the same masked symbol,
+/// enabling pointer-equality reasoning (Ex. 7/8). A `succ` memo hit is
+/// returned without calling `make`, so it costs no fresh symbol; a miss
+/// records `make`'s value against the base's origin.
+fn offset_step(
+    table: &mut SymbolTable,
+    base: &MaskedSymbol,
+    delta: u64,
+    make: impl FnOnce(&mut SymbolTable) -> MaskedSymbol,
+) -> MaskedSymbol {
+    let (origin, off) = table.origin_of(base);
+    let new_off = off.wrapping_add(delta) & base.mask().width_mask();
+    if let Some(existing) = table.successor(&origin, new_off) {
+        return existing;
+    }
+    let v = make(table);
+    if !v.is_constant() {
+        table.record_offset(v, origin, new_off);
+    }
+    v
+}
+
+/// `ADD`/`SUB` of a constant `c` to a symbolic base `(s, m)`, in words.
+///
+/// The word sum `r = v ± c` (unknown bits of `v` read as 0) tracks the
+/// per-bit algebra exactly up to the first symbolic bit `k` where the
+/// constant bit and the incoming carry differ — there `r` has a 1, and the
+/// algebra turns the bit into `¬s_k` with a symbolic carry. Below `k` every
+/// carry is a known constant and every symbolic bit passes through as
+/// itself. So:
+///
+/// * no such `k` (`r` is 0 on every symbolic bit): the result keeps `s`,
+///   its known bits are `r` on `m`'s known positions, and CF/OF/SF/ZF
+///   follow from `r` and the carry vector `r ^ v ^ c`;
+/// * every bit from `k` up is symbolic: those bits all come out
+///   undetermined, so the result is a fresh symbol knowing only the bits
+///   below `k`, with CF/OF/SF undetermined (a value with no known bits at
+///   all is this case);
+/// * otherwise a known bit above `k` may absorb the symbolic carry, and
+///   only the per-bit algebra can tell: `None`.
+///
+/// The §5.4.2 offset tracking is the per-bit path's ([`offset_step`]).
+fn add_constant(
+    table: &mut SymbolTable,
+    op: BinOp,
+    x: &MaskedSymbol,
+    y: &MaskedSymbol,
+) -> Option<OpResult> {
+    let (base, c, delta) = constant_operand(op, x, y)?;
+    let width = base.width();
+    let wrap = base.mask().width_mask();
+    let msb = 1u64 << (width - 1);
+    let (known, v) = (base.mask().known_bits(), base.mask().known_values());
+    let (r, carry_out) = if op == BinOp::Add {
+        let sum = u128::from(v) + u128::from(c);
+        (sum as u64 & wrap, sum >> width & 1 == 1)
+    } else {
+        (v.wrapping_sub(c) & wrap, v < c)
+    };
+    let clash = r & !known;
+    if clash != 0 && known >> clash.trailing_zeros() != 0 {
+        return None;
+    }
+    let value = offset_step(table, base, delta, |t| {
+        let sym = if clash == 0 {
+            base.sym()
         } else {
-            (x, None)
+            t.fresh_derived(op.name())
         };
-        if let Some(c) = constant {
-            let wrap = Mask::top(width).width_mask();
-            let delta = if op == BinOp::Add {
-                c & wrap
-            } else {
-                c.wrapping_neg() & wrap
-            };
-            if delta != 0 && !base.is_constant() && base.mask().known_bits() == 0 {
-                let (origin, off) = table.origin_of(base);
-                let new_off = off.wrapping_add(delta) & wrap;
-                let value = match table.successor(&origin, new_off) {
-                    Some(existing) => existing,
-                    None => {
-                        let fresh =
-                            MaskedSymbol::new(table.fresh_derived(op.name()), Mask::top(width));
-                        table.record_offset(fresh, origin, new_off);
-                        fresh
-                    }
-                };
-                // `compare_values(x, y)` specialized: `y` is constant
-                // (never a recorded origin), `x` is symbolic, so only
-                // the same-origin-different-offset rule can fire.
-                let zf = if op == BinOp::Sub && origin == *y && off != 0 {
-                    AbstractBool::False
-                } else {
-                    AbstractBool::Top
-                };
-                return OpResult {
-                    value,
-                    flags: AbstractFlags {
-                        zf,
-                        cf: AbstractBool::Top,
-                        sf: AbstractBool::Top,
-                        of: AbstractBool::Top,
-                    },
-                };
-            }
-        }
-    }
+        MaskedSymbol::new(sym, Mask::from_words(width, known, r))
+    });
 
-    // Bit evaluation into a stack buffer: `apply` runs on every
-    // symbolic ALU step, so the result bits must not cost a heap
-    // allocation each call.
+    // The result always has a symbolic bit, so ZF is never `True` from
+    // the bits alone. The §5.4.3 value comparison of `SUB` cannot decide
+    // it either: against a constant it only decides operands with a
+    // common origin, which the common-origin rule has already answered.
+    let zf = if r & known != 0 {
+        AbstractBool::False
+    } else {
+        AbstractBool::Top
+    };
+    let sf = if known & msb != 0 {
+        AbstractBool::from_bool(r & msb != 0)
+    } else {
+        AbstractBool::Top
+    };
+    let (cf, of) = if clash == 0 {
+        let carry_in_msb = (r ^ v ^ c) & msb != 0;
+        (
+            AbstractBool::from_bool(carry_out),
+            AbstractBool::from_bool(carry_in_msb != carry_out),
+        )
+    } else {
+        (AbstractBool::Top, AbstractBool::Top)
+    };
+    Some(OpResult {
+        value,
+        flags: AbstractFlags { zf, cf, sf, of },
+    })
+}
+
+/// The general path of [`apply`]: the per-bit [`BitVal`] algebra with the
+/// §5.4.2 offset tracking and the §5.4.3 flag rules. The constant fold and
+/// [`add_constant`] in [`apply`] return what this function would.
+fn apply_bits(table: &mut SymbolTable, op: BinOp, x: &MaskedSymbol, y: &MaskedSymbol) -> OpResult {
+    let width = x.width();
+    // Bit evaluation into a stack buffer: no heap allocation per call.
     let mut bits_buf = [BitVal::Const(false); 64];
     let bits = &mut bits_buf[..width as usize];
     let (mut carry_in_msb, mut carry_out) = (BitVal::Const(false), BitVal::Const(false));
@@ -454,47 +553,11 @@ pub fn apply(table: &mut SymbolTable, op: BinOp, x: &MaskedSymbol, y: &MaskedSym
         }
     }
 
-    // Offset tracking (§5.4.2): additions/subtractions of a constant are
-    // memoized per (origin, offset) so repeated derivations yield the same
-    // masked symbol, enabling pointer-equality reasoning (Ex. 7/8). The
-    // successor lookup runs *before* [`build_result`] so a memo hit skips
-    // the fresh-symbol allocation entirely — revisited pointer steps (the
-    // inner loop of a nested scan, re-walked per outer iteration) neither
-    // pay for nor grow the symbol table.
-    let mut pending_offset = None;
-    let mut value = None;
-    if matches!(op, BinOp::Add | BinOp::Sub) {
-        let (base, constant) = if y.is_constant() {
-            (x, y.as_constant())
-        } else if x.is_constant() && op == BinOp::Add {
-            (y, x.as_constant())
-        } else {
-            (x, None)
-        };
-        if let (Some(c), false) = (constant, base.is_constant()) {
-            let wrap = Mask::top(width).width_mask();
-            let delta = if op == BinOp::Add {
-                c
-            } else {
-                c.wrapping_neg() & wrap
-            };
-            let (origin, off) = table.origin_of(base);
-            let new_off = off.wrapping_add(delta) & wrap;
-            match table.successor(&origin, new_off) {
-                Some(existing) => value = Some(existing),
-                None => pending_offset = Some((origin, new_off)),
-            }
+    let value = match constant_operand(op, x, y) {
+        Some((base, _, delta)) => {
+            offset_step(table, base, delta, |t| build_result(t, op, bits, width))
         }
-    }
-    let value = match value {
-        Some(v) => v,
-        None => {
-            let v = build_result(table, op, bits, width);
-            if let (Some((origin, new_off)), false) = (pending_offset, v.is_constant()) {
-                table.record_offset(v, origin, new_off);
-            }
-            v
-        }
+        None => build_result(table, op, bits, width),
     };
 
     let zf = match op {
@@ -529,6 +592,15 @@ pub fn apply(table: &mut SymbolTable, op: BinOp, x: &MaskedSymbol, y: &MaskedSym
 /// Concrete evaluation of a binary operation with x86 flag semantics
 /// (the constant × constant case of [`apply`]).
 fn apply_concrete(op: BinOp, a: u64, b: u64, width: u8) -> OpResult {
+    let (r, flags) = eval_with_flags(op, a, b, width);
+    OpResult {
+        value: MaskedSymbol::constant(r, width),
+        flags,
+    }
+}
+
+/// `op` on concrete words at `width`, with its exact x86 flags.
+pub(crate) fn eval_with_flags(op: BinOp, a: u64, b: u64, width: u8) -> (u64, AbstractFlags) {
     let wrap = Mask::top(width).width_mask();
     let r = op.eval_concrete(a, b, width);
     let msb = |v: u64| v >> (width - 1) & 1 == 1;
@@ -541,15 +613,13 @@ fn apply_concrete(op: BinOp, a: u64, b: u64, width: u8) -> OpResult {
         ),
         BinOp::Sub => (a < b, msb((a ^ b) & (a ^ r) & wrap)),
     };
-    OpResult {
-        value: MaskedSymbol::constant(r, width),
-        flags: AbstractFlags {
-            zf: AbstractBool::from_bool(r == 0),
-            cf: AbstractBool::from_bool(cf),
-            sf: AbstractBool::from_bool(msb(r)),
-            of: AbstractBool::from_bool(of),
-        },
-    }
+    let flags = AbstractFlags {
+        zf: AbstractBool::from_bool(r == 0),
+        cf: AbstractBool::from_bool(cf),
+        sf: AbstractBool::from_bool(msb(r)),
+        of: AbstractBool::from_bool(of),
+    };
+    (r, flags)
 }
 
 /// Abstract bitwise complement (`NOT` = `XOR` with all ones).
@@ -661,18 +731,12 @@ pub fn mul(table: &mut SymbolTable, x: &MaskedSymbol, y: &MaskedSymbol) -> OpRes
 
 fn rebuild_shifted(
     table: &mut SymbolTable,
-    _x: &MaskedSymbol,
+    x: &MaskedSymbol,
     known: u64,
     value: u64,
     op: &'static str,
 ) -> MaskedSymbol {
-    let width = _x.width();
-    let mut mask = Mask::top(width);
-    for i in 0..width {
-        if known >> i & 1 == 1 {
-            mask = mask.with_bit(i, MaskBit::from_bool(value >> i & 1 == 1));
-        }
-    }
+    let mask = Mask::from_words(x.width(), known, value);
     if mask.is_fully_known() {
         MaskedSymbol::new(SymId::CONST, mask)
     } else {
@@ -993,6 +1057,129 @@ mod tests {
         assert_eq!(r.mask().known_values() & 0xf, 0);
         assert_ne!(r.sym(), a.sym());
         assert_ne!(r.sym(), b.sym());
+    }
+
+    /// The per-bit reference: [`apply`] without its word-level steps.
+    fn reference(
+        table: &mut SymbolTable,
+        op: BinOp,
+        x: &MaskedSymbol,
+        y: &MaskedSymbol,
+    ) -> OpResult {
+        common_origin_sub(table, op, x, y).unwrap_or_else(|| apply_bits(table, op, x, y))
+    }
+
+    /// One generated operand: `(kind, pick, known, value)`.
+    type RawOperand = (u8, usize, u64, u64);
+
+    /// Builds an operand at `width` from a pool of symbolic values.
+    fn operand(raw: RawOperand, width: u8, pool: &[MaskedSymbol]) -> MaskedSymbol {
+        let (kind, pick, known, value) = raw;
+        let base = pool[pick % pool.len()];
+        match kind % 5 {
+            0 => MaskedSymbol::constant(value, width),
+            // Small constants: pointer steps, 0, the line size.
+            1 => MaskedSymbol::constant(value % 130, width),
+            // A random known mask over a symbol.
+            2 => MaskedSymbol::new(base.sym(), Mask::from_words(width, known, value)),
+            // A known low region, the aligned-pointer shape.
+            3 => MaskedSymbol::new(
+                base.sym(),
+                Mask::top(width).with_low_bits_known((known % (u64::from(width) + 1)) as u8, value),
+            ),
+            // A pool value as is (origins and successors recorded).
+            _ => base,
+        }
+    }
+
+    use proptest::prelude::*;
+
+    fn any_op() -> impl Strategy<Value = BinOp> {
+        proptest::sample::select(vec![
+            BinOp::And,
+            BinOp::Or,
+            BinOp::Xor,
+            BinOp::Add,
+            BinOp::Sub,
+        ])
+    }
+
+    fn any_operand() -> impl Strategy<Value = RawOperand> {
+        (0u8..5, 0usize..8, any::<u64>(), any::<u64>())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3000))]
+
+        /// The word-level steps of `apply` return exactly what the per-bit
+        /// algebra returns — value, flags, symbol allocation and the
+        /// §5.4.2 records — for every op, width and operand order, on a
+        /// table pre-seeded with offset chains.
+        #[test]
+        fn apply_matches_per_bit_reference(
+            op in any_op(),
+            width in 1u8..=64,
+            xr in any_operand(),
+            yr in any_operand(),
+            seeds in proptest::collection::vec((0usize..8, 0u64..200, any::<bool>()), 0..6),
+        ) {
+            let mut table = SymbolTable::new();
+            let mut pool = vec![
+                MaskedSymbol::symbol(table.fresh("a"), width),
+                MaskedSymbol::new(table.fresh("b"), Mask::top(width).with_low_bits_known(width.min(6), 0)),
+            ];
+            for (pick, c, sub) in seeds {
+                let base = pool[pick % pool.len()];
+                let step = if sub { BinOp::Sub } else { BinOp::Add };
+                let r = reference(&mut table, step, &base, &MaskedSymbol::constant(c, width));
+                pool.push(r.value);
+            }
+            let (x, y) = (operand(xr, width, &pool), operand(yr, width, &pool));
+            for (x, y) in [(x, y), (y, x)] {
+                let (mut fast, mut slow) = (table.clone(), table.clone());
+                // Twice: the second call meets the first one's records.
+                for _ in 0..2 {
+                    let got = apply(&mut fast, op, &x, &y);
+                    let want = reference(&mut slow, op, &x, &y);
+                    prop_assert_eq!(got, want, "{:?} {} {}", op, x, y);
+                    prop_assert_eq!(fast.len(), slow.len());
+                    let origin = fast.origin_of(&got.value);
+                    prop_assert_eq!(origin, slow.origin_of(&want.value));
+                    prop_assert_eq!(
+                        fast.successor(&origin.0, origin.1),
+                        slow.successor(&origin.0, origin.1)
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn word_step_keeps_symbol_below_the_symbolic_region() {
+        // `inc` on a 64-byte-aligned pointer: the carry stops in the known
+        // low bits, the symbol is kept, and every flag but ZF/SF is known.
+        let (mut t, s, _) = setup();
+        let aligned = MaskedSymbol::new(s, Mask::top(32).with_low_bits_known(6, 0));
+        let r = apply(&mut t, BinOp::Add, &aligned, &MaskedSymbol::constant(1, 32));
+        assert_eq!(r.value.sym(), s);
+        assert_eq!(r.value.mask().to_string(), "⊤{26}000001");
+        assert_eq!(r.flags.zf, AbstractBool::False);
+        assert_eq!(r.flags.cf, AbstractBool::False);
+        assert_eq!(r.flags.of, AbstractBool::False);
+        assert_eq!(r.flags.sf, AbstractBool::Top);
+        // A carry out of a symbolic region with only symbolic bits above:
+        // fresh symbol, the low bits stay known.
+        let len0 = t.len();
+        let r = apply(
+            &mut t,
+            BinOp::Add,
+            &aligned,
+            &MaskedSymbol::constant(0x41, 32),
+        );
+        assert_ne!(r.value.sym(), s);
+        assert_eq!(t.len(), len0 + 1);
+        assert_eq!(r.value.mask().to_string(), "⊤{26}000001");
+        assert_eq!(r.flags.cf, AbstractBool::Top);
     }
 
     #[test]

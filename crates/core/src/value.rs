@@ -454,6 +454,13 @@ impl SetBuilder {
 /// §5.4: "performing the operations on all pairs of elements in their
 /// product"), joining the flag outcomes.
 ///
+/// Two shapes skip the general lifting through [`SetBuilder`], with the
+/// same result: a singleton × singleton is one [`ops::apply`], and two
+/// sets of constants are folded in `u64` words, sorted and deduplicated
+/// (widening past [`MAX_CARDINALITY`] as the builder does). Neither
+/// touches the symbol table. When only the flags are wanted (`cmp`,
+/// `test`), [`apply_set_flags`] skips the value too.
+///
 /// # The set-uniform constant-addition rule
 ///
 /// For `ADD`/`SUB` with a constant operand there is one refinement over the
@@ -480,9 +487,16 @@ pub fn apply_set(
     let width = x.width();
     match (x.as_slice(), y.as_slice()) {
         (None, _) | (_, None) => (ValueSet::top(width), AbstractFlags::top()),
+        (Some([ma]), Some([mb])) => {
+            let OpResult { value, flags } = ops::apply(table, op, ma, mb);
+            (ValueSet::singleton(value), flags)
+        }
         (Some(a), Some(b)) => {
             if let Some(result) = uniform_const_add(table, op, x, a, b) {
                 return result;
+            }
+            if all_constant(a) && all_constant(b) {
+                return lift_constants(op, a, b);
             }
             let mut out = SetBuilder::new();
             let mut flags: Option<AbstractFlags> = None;
@@ -499,6 +513,117 @@ pub fn apply_set(
             (out.finish(), flags.unwrap_or_else(AbstractFlags::top))
         }
     }
+}
+
+/// The flags of [`apply_set`] without its value, for instructions that
+/// only set flags (`cmp`, `test`).
+///
+/// Two sets of constants fold the exact flags pair by pair and stop once
+/// all four are undetermined; the table is never touched (the set-uniform
+/// rule, which [`apply_set`] tries first, only ever answers `x ± 0` on
+/// constants, without the table). Any other operands run [`apply_set`]
+/// itself, so symbol allocation and offset records happen exactly as they
+/// would there.
+pub fn apply_set_flags(
+    table: &mut SymbolTable,
+    op: BinOp,
+    x: &ValueSet,
+    y: &ValueSet,
+) -> AbstractFlags {
+    match (x.as_slice(), y.as_slice()) {
+        (Some(a), Some(b)) if all_constant(a) && all_constant(b) => {
+            if let Some((_, flags)) = uniform_const_add(table, op, x, a, b) {
+                return flags;
+            }
+            let width = check_widths(a, b);
+            let top = AbstractFlags::top();
+            let mut flags: Option<AbstractFlags> = None;
+            for ma in a {
+                for mb in b {
+                    let (_, f) = ops::eval_with_flags(op, constant_of(ma), constant_of(mb), width);
+                    let acc = flags.map_or(f, |acc| acc.join(f));
+                    if acc == top {
+                        return top;
+                    }
+                    flags = Some(acc);
+                }
+            }
+            flags.unwrap_or(top)
+        }
+        _ => apply_set(table, op, x, y).1,
+    }
+}
+
+fn all_constant(s: &[MaskedSymbol]) -> bool {
+    s.iter().all(MaskedSymbol::is_constant)
+}
+
+fn constant_of(m: &MaskedSymbol) -> u64 {
+    m.mask().known_values()
+}
+
+/// The common width of two non-empty operand sets (`width` 32 for an empty
+/// one, which has no pairs).
+///
+/// # Panics
+///
+/// Panics if the widths differ, as [`ops::apply`] does.
+fn check_widths(a: &[MaskedSymbol], b: &[MaskedSymbol]) -> u8 {
+    match (a.first(), b.first()) {
+        (Some(x), Some(y)) => {
+            assert_eq!(x.width(), y.width(), "operand widths must match");
+            x.width()
+        }
+        _ => 32,
+    }
+}
+
+/// The pairwise lifting of two sets of constants, in `u64` words: the
+/// values are collected, sorted and deduplicated, and widen to `Top` once
+/// more than [`MAX_CARDINALITY`] are distinct (compacting at twice the cap
+/// keeps memory bounded, as [`SetBuilder`] does).
+fn lift_constants(op: BinOp, a: &[MaskedSymbol], b: &[MaskedSymbol]) -> (ValueSet, AbstractFlags) {
+    let width = check_widths(a, b);
+    let compact = |values: &mut Vec<u64>| {
+        values.sort_unstable();
+        values.dedup();
+    };
+    let mut values = Vec::with_capacity((a.len() * b.len()).min(2 * MAX_CARDINALITY));
+    let mut widened = false;
+    let mut flags: Option<AbstractFlags> = None;
+    'pairs: for ma in a {
+        for mb in b {
+            let (r, f) = ops::eval_with_flags(op, constant_of(ma), constant_of(mb), width);
+            let acc = flags.map_or(f, |acc| acc.join(f));
+            flags = Some(acc);
+            if widened {
+                if acc == AbstractFlags::top() {
+                    break 'pairs;
+                }
+                continue;
+            }
+            values.push(r);
+            if values.len() > 2 * MAX_CARDINALITY {
+                compact(&mut values);
+                widened = values.len() > MAX_CARDINALITY;
+            }
+        }
+    }
+    if !widened {
+        compact(&mut values);
+        widened = values.len() > MAX_CARDINALITY;
+    }
+    let set = if widened {
+        ValueSet::top(width)
+    } else {
+        ValueSet::from_sorted_vec(
+            values
+                .into_iter()
+                .map(|v| MaskedSymbol::constant(v, width))
+                .collect(),
+        )
+    };
+    (set, flags.unwrap_or_else(AbstractFlags::top))
 }
 
 /// The set-uniform constant-addition rule (see [`apply_set`]): returns
@@ -579,7 +704,7 @@ fn uniform_const_add(
     let mut out = SetBuilder::new();
     let mut zf = None;
     for (m, low) in a.iter().zip(&sums) {
-        let mask = crate::mask::Mask::top(width).with_low_bits_known(t, *low);
+        let mask = crate::mask::Mask::from_words(width, known, *low);
         let r = MaskedSymbol::new(result_sym, mask);
         // Keep §5.4.2 offset bookkeeping per element so pointer-equality
         // reasoning (loop guards) still works across the shared symbol.
@@ -747,6 +872,133 @@ mod tests {
     fn widening_past_cap() {
         let huge = ValueSet::from_constants(0..=(MAX_CARDINALITY as u64), 32);
         assert!(huge.is_top());
+    }
+
+    /// The pairwise reference: [`apply_set`] without its singleton and
+    /// constant-set shortcuts.
+    fn reference(
+        table: &mut SymbolTable,
+        op: BinOp,
+        x: &ValueSet,
+        y: &ValueSet,
+    ) -> (ValueSet, AbstractFlags) {
+        let (Some(a), Some(b)) = (x.as_slice(), y.as_slice()) else {
+            return (ValueSet::top(x.width()), AbstractFlags::top());
+        };
+        if let Some(result) = uniform_const_add(table, op, x, a, b) {
+            return result;
+        }
+        let mut out = SetBuilder::new();
+        let mut flags: Option<AbstractFlags> = None;
+        for ma in a {
+            for mb in b {
+                let OpResult { value, flags: f } = ops::apply(table, op, ma, mb);
+                out.insert(value);
+                flags = Some(flags.map_or(f, |acc| acc.join(f)));
+            }
+        }
+        (out.finish(), flags.unwrap_or_else(AbstractFlags::top))
+    }
+
+    /// Runs both liftings and the reference on clones of `table`, checking
+    /// results, flags and the table's side effects.
+    fn check_against_reference(table: &SymbolTable, op: BinOp, x: &ValueSet, y: &ValueSet) {
+        let (mut fast, mut flags_only, mut slow) = (table.clone(), table.clone(), table.clone());
+        let got = apply_set(&mut fast, op, x, y);
+        let flags = apply_set_flags(&mut flags_only, op, x, y);
+        let want = reference(&mut slow, op, x, y);
+        assert_eq!(got, want, "{op:?} {x} {y}");
+        assert_eq!(flags, want.1, "flags only: {op:?} {x} {y}");
+        for t in [&fast, &flags_only] {
+            assert_eq!(t.len(), slow.len(), "{op:?} {x} {y}");
+            for m in want.0.iter() {
+                assert_eq!(t.origin_of(m), slow.origin_of(m), "{op:?} {x} {y}");
+            }
+        }
+    }
+
+    use proptest::prelude::*;
+
+    fn any_op() -> impl Strategy<Value = BinOp> {
+        proptest::sample::select(vec![
+            BinOp::And,
+            BinOp::Or,
+            BinOp::Xor,
+            BinOp::Add,
+            BinOp::Sub,
+        ])
+    }
+
+    /// Raw set members: `(symbolic?, low known bits, value)`.
+    fn any_members() -> impl Strategy<Value = Vec<(bool, u8, u64)>> {
+        proptest::collection::vec((any::<bool>(), 0u8..8, 0u64..300), 0..7)
+    }
+
+    /// A set at `width`: constants, and (when `symbolic`) values of one
+    /// symbol with a known low region.
+    fn members(raw: &[(bool, u8, u64)], width: u8, sym: SymId, symbolic: bool) -> ValueSet {
+        ValueSet::from_masked_symbols(raw.iter().map(|&(is_sym, low, v)| {
+            if symbolic && is_sym {
+                let mask = crate::mask::Mask::top(width).with_low_bits_known(low.min(width - 1), v);
+                MaskedSymbol::new(sym, mask)
+            } else {
+                MaskedSymbol::constant(v, width)
+            }
+        }))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1500))]
+
+        /// Constant sets, singletons and symbolic sets all lift exactly as
+        /// the pairwise `SetBuilder` reference, flags-only included.
+        #[test]
+        fn liftings_match_the_pairwise_reference(
+            op in any_op(),
+            width in proptest::sample::select(vec![1u8, 3, 8, 16, 32, 64]),
+            xs in any_members(),
+            ys in any_members(),
+            symbolic in any::<bool>(),
+        ) {
+            let mut table = SymbolTable::new();
+            let s = table.fresh("s");
+            let base = MaskedSymbol::symbol(s, width);
+            // An offset chain, so successor hits happen.
+            ops::apply(&mut table, BinOp::Add, &base, &MaskedSymbol::constant(8, width));
+            let x = members(&xs, width, s, symbolic);
+            let y = members(&ys, width, s, symbolic);
+            check_against_reference(&table, op, &x, &y);
+            check_against_reference(&table, op, &y, &x);
+        }
+    }
+
+    #[test]
+    fn constant_liftings_widen_past_the_cap() {
+        // 70 × 70 distinct sums: past MAX_CARDINALITY, so `Top`.
+        let a = ValueSet::from_constants(0..70, 32);
+        let b = ValueSet::from_constants((0..70).map(|k| k * 128), 32);
+        let table = SymbolTable::new();
+        for op in [BinOp::Add, BinOp::Xor, BinOp::Sub, BinOp::And] {
+            check_against_reference(&table, op, &a, &b);
+        }
+        let (sum, flags) = apply_set(&mut SymbolTable::new(), BinOp::Add, &a, &b);
+        assert!(sum.is_top());
+        assert_eq!(flags.cf, AbstractBool::False, "no sum wraps 32 bits");
+        // 10,000 distinct differences: CF is undetermined from the first
+        // pairs, OF only from the last element of `a` on, after the
+        // widening.
+        let a = ValueSet::from_constants((0..100).map(|k| k * 7).chain([0x8000_0000]), 32);
+        let b = ValueSet::from_constants((0..100).map(|k| k * 1000), 32);
+        check_against_reference(&table, BinOp::Sub, &a, &b);
+        assert_eq!(
+            apply_set_flags(&mut SymbolTable::new(), BinOp::Sub, &a, &b),
+            AbstractFlags::top()
+        );
+        // Many duplicates: compaction keeps the set under the cap.
+        let c = ValueSet::from_constants(0..100, 32);
+        let (and, _) = apply_set(&mut SymbolTable::new(), BinOp::And, &c, &c);
+        assert_eq!(and.len(), Some(100));
+        check_against_reference(&table, BinOp::And, &c, &c);
     }
 
     #[test]

@@ -33,7 +33,17 @@ enum Step {
     /// `test r, r; je +skip-one` — a (possibly secret-dependent) branch
     /// over the following step.
     SkipNextIfZero(Reg),
+    /// A counted loop running `body` `trips` times, counting down in
+    /// `ebp`, which no other step touches. With a `SkipNextIfZero` in the
+    /// body this is the secret-branch-in-loop shape of `branchy_gather`.
+    Loop {
+        trips: u8,
+        body: Vec<Step>,
+    },
 }
+
+/// The loop counter: outside `regs()`, and not `esi`/`ebx`.
+const COUNTER: Reg = Reg::Ebp;
 
 fn regs() -> impl Strategy<Value = Reg> {
     proptest::sample::select(vec![Reg::Eax, Reg::Ecx, Reg::Edx, Reg::Edi])
@@ -49,20 +59,29 @@ fn alu_ops() -> impl Strategy<Value = AluOp> {
     ])
 }
 
-fn steps() -> impl Strategy<Value = Vec<Step>> {
-    let step = prop_oneof![
+/// Every step but `Loop`.
+fn flat_step() -> impl Strategy<Value = Step> {
+    prop_oneof![
         (alu_ops(), regs(), any::<u32>()).prop_map(|(o, r, i)| Step::AluImm(o, r, i)),
         (alu_ops(), regs(), regs()).prop_map(|(o, a, b)| Step::AluReg(o, a, b)),
         (any::<bool>(), regs(), 0u8..16).prop_map(|(l, r, a)| Step::Shift(l, r, a)),
         (regs(), regs()).prop_map(|(from, into)| Step::LoadIndexed { from, into }),
         (regs(), regs()).prop_map(|(from, index_src)| Step::StoreIndexed { from, index_src }),
         regs().prop_map(Step::SkipNextIfZero),
+    ]
+}
+
+fn steps() -> impl Strategy<Value = Vec<Step>> {
+    let step = prop_oneof![
+        flat_step(),
+        (1u8..=4, proptest::collection::vec(flat_step(), 1..4))
+            .prop_map(|(trips, body)| Step::Loop { trips, body }),
     ];
     proptest::collection::vec(step, 1..8)
 }
 
-fn emit(asm: &mut Asm, steps: &[Step]) {
-    let mut label = 0usize;
+/// Emits `steps`; `label` numbers the labels across nested calls.
+fn emit(asm: &mut Asm, steps: &[Step], label: &mut usize) {
     let mut i = 0;
     while i < steps.len() {
         match &steps[i] {
@@ -99,19 +118,28 @@ fn emit(asm: &mut Asm, steps: &[Step]) {
             }
             Step::SkipNextIfZero(r) => {
                 let name = format!("skip{label}");
-                label += 1;
+                *label += 1;
                 asm.test(*r, *r);
                 asm.je(name.as_str());
                 // Emit the next step inside the branch (if any), then land.
                 if i + 1 < steps.len() {
                     // Only emit simple steps inside; recurse one level.
                     let inner = [steps[i + 1].clone()];
-                    if !matches!(steps[i + 1], Step::SkipNextIfZero(_)) {
-                        emit(asm, &inner);
+                    if !matches!(steps[i + 1], Step::SkipNextIfZero(_) | Step::Loop { .. }) {
+                        emit(asm, &inner, label);
                         i += 1;
                     }
                 }
                 asm.label(name.as_str());
+            }
+            Step::Loop { trips, body } => {
+                let name = format!("loop{label}");
+                *label += 1;
+                asm.mov(COUNTER, u32::from(*trips));
+                asm.label(name.as_str());
+                emit(asm, body, label);
+                asm.dec(COUNTER);
+                asm.jne(name.as_str());
             }
         }
         i += 1;
@@ -130,7 +158,7 @@ proptest! {
     ) {
         // Assemble.
         let mut asm = Asm::new(0x1000);
-        emit(&mut asm, &program_steps);
+        emit(&mut asm, &program_steps, &mut 0);
         asm.hlt();
         let program = asm.assemble().expect("generated program assembles");
 
