@@ -54,9 +54,9 @@ use leakaudit_x86::Reg;
 
 /// How often (in abstract steps) the scheduler consults the wall clock
 /// for a budget deadline. A power of two so the check is a mask. A cold
-/// 45-cell sweep interprets 73.7k abstract steps in 30–45 ms (about
-/// 1.6–2.5 × 10⁶ steps/s on a 2-vCPU host), so 1,024 steps take
-/// ~0.4–0.6 ms: the deadline overshoots by up to about that much.
+/// 45-cell sweep interprets 73.7k abstract steps in 25–45 ms (about
+/// 1.6–2.9 × 10⁶ steps/s on a 2-vCPU host), so 1,024 steps take
+/// ~0.35–0.6 ms: the deadline overshoots by up to about that much.
 const DEADLINE_CHECK_MASK: u64 = 0x3ff;
 
 /// One live configuration: a program point plus the abstract machine
